@@ -2,10 +2,12 @@
 
 Three layers: exact finite computation on {-1,+1}^n (`cube`, `sweeps`),
 closed-form and quadrature bounds built on the small-set-expansion
-envelope (`bounds`, `normal`), and the grid/Lipschitz certificate that
+envelope (`bounds`), and the grid/Lipschitz certificate that
 dictator functions maximize symmetric 1-stability for correlations in
 [0.46, 0.914] (`certify`).  The `noisestab` command drives all of it.
 """
+
+__version__ = "0.1.0"
 
 from .bounds import (
     BracketError,
@@ -22,6 +24,8 @@ from .bounds import (
     gamma_vec,
     gaussian_theta,
     h,
+    norm_cdf,
+    norm_ppf,
     phi_custom,
     phi_one_asymmetric,
     phi_one_symmetric,
@@ -67,6 +71,3 @@ from .cube import (
     stab_q,
     subcube_mass,
 )
-from .normal import norm_cdf, norm_pdf, norm_ppf
-
-__version__ = "0.1.0"

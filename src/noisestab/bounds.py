@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import xlogy
+from scipy.special import ndtr, ndtri, xlogy
 
-from .normal import norm_cdf, norm_ppf
+from .cube import StepSpectrum, noise_kernel
 
 _CLAMP_LO = 1e-300
 _CLAMP_HI = 1.0 - 1e-16
@@ -322,7 +322,6 @@ class ThetaProfile:
         Values are the exact envelope increments over a uniform grid, so
         the partial sums of the result agree with Theta at every cell edge.
         """
-        from .cube import StepSpectrum
         edges = np.linspace(0.0, 1.0, cells + 1)
         theta = np.array([self.envelope(b) for b in edges])
         vals = np.sort(np.maximum(np.diff(theta) * cells, 0.0))[::-1]
@@ -462,21 +461,16 @@ def gamma_vec(eps: Sequence[float], k: int, rho: float, phi: PhiSpec) -> float:
 
     `eps` is indexed by assignment mask m in [0, 2^k): bit j of m set means
     the j-th subcube coordinate equals +1.  The weight between assignments
-    at Hamming distance d is cp^{k-d} cm^d; each weight row sums to 1.
+    at Hamming distance d is cp^{k-d} cm^d, the noise kernel on the
+    k-cube; each weight row sums to 1.
     """
     if len(eps) != 2 ** k:
         raise ValueError("eps must have length 2^k")
     if any(not 0.0 <= e <= 1.0 for e in eps):
         raise ValueError("entries of eps must lie in [0, 1]")
-    cp, cm = (1.0 + rho) / 2.0, (1.0 - rho) / 2.0
     profiles = {e: theta_profile(e, rho) for e in set(eps)}
     total = 0.0
-    for a_mask in range(2 ** k):
-        weights = []
-        for b_mask in range(2 ** k):
-            d = bin(a_mask ^ b_mask).count("1")
-            w = cp ** (k - d) * (cm ** d if d else 1.0)
-            weights.append(w)
+    for weights in noise_kernel(k, rho).tolist():
         if abs(sum(weights) - 1.0) > 1e-12:
             raise AssertionError("weight row does not sum to 1")
         mix = ThetaMixture(tuple(weights), tuple(profiles[e] for e in eps))
@@ -574,6 +568,18 @@ def gamma_asymptotic(eps: float, rho: float, phi: PhiSpec) -> float:
 # ---------------------------------------------------------------------------
 # Gaussian analogues
 # ---------------------------------------------------------------------------
+
+def norm_cdf(x: float) -> float:
+    """CDF of the standard normal distribution."""
+    return float(ndtr(x))
+
+
+def norm_ppf(p: float) -> float:
+    """Inverse standard normal CDF on (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"norm_ppf requires p in (0, 1), got {p}")
+    return float(ndtri(p))
+
 
 def gaussian_theta(alpha: float, beta: float, rho: float) -> float:
     """Ornstein-Uhlenbeck profile Psi((Psi^{-1}(alpha) - rho Psi^{-1}(beta))

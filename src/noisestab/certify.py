@@ -29,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from . import __version__
 from .bounds import BracketError, bisect_root, eps_star, h
-
-__version__ = "0.1.0"
 
 #: Default certified interval and grid constants.
 RHO_LO = 0.46

@@ -1,8 +1,11 @@
 """Command-line front end: certificates, bound evaluation, brute force.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-configuration error.  Output is text, JSON, or CSV; CSV always uses '.' as
-the decimal separator and every output file ends with a newline.
+configuration error.  An input outside a routine's numeric domain, such as
+a correlation so small that a root bracket has no sign change, is a usage
+error: one `error: ...` line on stderr, no traceback.  Output is text,
+JSON, or CSV; CSV always uses '.' as the decimal separator and every output
+file ends with a newline.
 """
 
 from __future__ import annotations
@@ -230,6 +233,9 @@ def cmd_brute(args) -> int:
     if args.sample is not None and args.seed is None:
         print("error: --sample requires --seed", file=sys.stderr)
         return EXIT_USAGE
+    if args.sample is not None and args.sample <= 0:
+        print("error: --sample must be positive", file=sys.stderr)
+        return EXIT_USAGE
     rhos = _parse_rho_list(args.rho)
     if any(not 0.0 <= r <= 1.0 for r in rhos):
         print("error: rho values must lie in [0, 1]", file=sys.stderr)
@@ -299,7 +305,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except RuntimeError as exc:  # BracketError and other numeric-domain failures
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -3,9 +3,13 @@
 A point of the cube is encoded as an integer index in [0, 2^n): bit i-1 of
 the index is the sign of coordinate i (set bit means +1).  Lexicographic
 order on the cube is ascending point index, with -1 sorting before +1 in
-every coordinate.  All masses are counts over 2^n points, so every mean,
-Fourier coefficient and subcube mass is an exact dyadic rational and is
-represented exactly in double precision for the dimensions handled here.
+every coordinate.  Every operation computes on the 0/1 value vector of a
+function over these indices, through the character table `chi_matrix`
+(columns indexed by subset masks with the same bit order) and the axis of
+each coordinate in `values.reshape((2,) * n)` (`_axis`).  All masses are
+counts over 2^n points, so every mean, Fourier coefficient and subcube mass
+is an exact dyadic rational and is represented exactly in double precision
+for the dimensions handled here.
 
 The noise operator T_rho averages a function over a rho-correlated input:
 each coordinate is flipped independently with probability (1-rho)/2.  Two
@@ -53,9 +57,8 @@ class BooleanFunction:
     @classmethod
     def dictator(cls, n: int, i: int, sign: int = +1) -> "BooleanFunction":
         """1{x_i = sign} for coordinate i in 1..n."""
-        bit = 1 << (i - 1)
-        want = bit if sign > 0 else 0
-        return cls(n, frozenset(x for x in range(2 ** n) if (x & bit) == want))
+        x_i = chi_matrix(n)[:, 1 << (i - 1)]
+        return cls.from_support(n, np.flatnonzero(x_i == (1 if sign > 0 else -1)))
 
     @classmethod
     def lexicographic(cls, n: int, size: int) -> "BooleanFunction":
@@ -162,25 +165,39 @@ class StepSpectrum:
 # cached cube structure
 # ---------------------------------------------------------------------------
 
+def _popcount(x) -> np.ndarray:
+    """Number of set bits of each nonnegative integer in x."""
+    x = np.asarray(x, dtype=np.int64)
+    count = np.zeros_like(x)
+    while x.any():
+        count += x & 1
+        x = x >> 1
+    return count
+
+
+def _axis(n: int, i: int) -> int:
+    """Axis of coordinate i in values.reshape((2,) * n); index 1 is x_i = +1.
+
+    C order puts the highest bit first, so removing or moving axes keeps
+    the remaining coordinates packed in ascending order.
+    """
+    return n - i
+
+
 @lru_cache(maxsize=None)
 def _hamming_matrix(n: int) -> np.ndarray:
     idx = np.arange(2 ** n)
-    xor = idx[:, None] ^ idx[None, :]
-    out = np.array([[bin(v).count("1") for v in row] for row in xor], dtype=np.int64)
+    out = _popcount(idx[:, None] ^ idx[None, :])
     out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=None)
 def chi_matrix(n: int) -> np.ndarray:
-    """Character table: chi[x, S] = prod_{i in S} x_i over subset masks S."""
-    N = 2 ** n
-    signs = np.where((np.arange(N)[:, None] >> np.arange(n)[None, :]) & 1, 1.0, -1.0)
-    chi = np.ones((N, N))
-    for s_mask in range(N):
-        cols = [j for j in range(n) if s_mask >> j & 1]
-        if cols:
-            chi[:, s_mask] = np.prod(signs[:, cols], axis=1)
+    """Character table: chi[x, S] = prod_{i in S} x_i over subset masks S,
+    i.e. -1 to the number of coordinates in S where x is -1."""
+    idx = np.arange(2 ** n)
+    chi = 1.0 - 2.0 * (_popcount(~idx[:, None] & idx[None, :]) & 1)
     chi.setflags(write=False)
     return chi
 
@@ -210,9 +227,8 @@ def noise_apply(f: BooleanFunction, rho: float, route: str = "kernel") -> CubeFi
         vals = noise_kernel(f.n, rho) @ fv
     elif route == "fourier":
         chi = chi_matrix(f.n)
-        coeff = (chi.T @ fv) / 2 ** f.n
-        sizes = np.array([bin(s).count("1") for s in range(2 ** f.n)])
-        vals = chi @ (coeff * rho ** sizes)
+        coeff = (fv @ chi) / 2 ** f.n
+        vals = chi @ (coeff * rho ** _popcount(np.arange(2 ** f.n)))
     else:
         raise ValueError(f"unknown route {route!r}")
     return CubeField.from_array(f.n, vals)
@@ -224,21 +240,9 @@ def fourier(f: BooleanFunction) -> dict:
     Coefficients are signed counts over 2^n points, hence exact dyadics.
     """
     n = f.n
-    out = {}
-    for s_mask in range(2 ** n):
-        acc = 0
-        for x in f.support:
-            sign = 1
-            m = s_mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                if not x >> j & 1:
-                    sign = -sign
-                m &= m - 1
-            acc += sign
-        subset = frozenset(j + 1 for j in range(n) if s_mask >> j & 1)
-        out[subset] = acc / 2 ** n
-    return out
+    coeff = f.values() @ chi_matrix(n) / 2 ** n
+    return {frozenset(j + 1 for j in range(n) if s_mask >> j & 1): float(c)
+            for s_mask, c in enumerate(coeff)}
 
 
 def phi_stability(f: BooleanFunction, rho: float, phi: Callable[[float], float]) -> float:
@@ -261,12 +265,11 @@ def dictator_distance(f: BooleanFunction, i: int):
     """
     if not 1 <= i <= f.n:
         raise ValueError("coordinate out of range")
-    bit = 1 << (i - 1)
     n_points = 2 ** f.n
-    sym_diff = sum(1 for x in range(n_points) if ((x & bit) != 0) != (x in f.support))
-    d_count = sym_diff / n_points
-    fhat_i = sum(1 if x & bit else -1 for x in f.support) / n_points
-    d_fourier = 0.5 - fhat_i
+    fv = f.values()
+    x_i = chi_matrix(f.n)[:, 1 << (i - 1)]
+    d_count = np.count_nonzero(fv != (x_i > 0)) / n_points
+    d_fourier = 0.5 - float(fv @ x_i) / n_points
     if d_count != d_fourier:
         raise AssertionError(f"distance routes disagree: {d_count} vs {d_fourier}")
     return d_count, min(d_count, 1.0 - d_count)
@@ -369,11 +372,8 @@ def subcube_mass(f: BooleanFunction, S: Sequence[int], a: Sequence[int]) -> floa
         raise ValueError("S must be distinct coordinates in 1..n")
     if len(a) != len(S) or any(s not in (-1, 1) for s in a):
         raise ValueError("a must be a +-1 vector matching S")
-    count = 0
-    for x in f.support:
-        if all((1 if x >> (i - 1) & 1 else -1) == s for i, s in zip(S, a)):
-            count += 1
-    direct = count / 2 ** f.n
+    signs = chi_matrix(f.n)[:, [1 << (i - 1) for i in S]]
+    direct = float(f.values()[np.all(signs == np.array(a), axis=1)].sum()) / 2 ** f.n
     coeffs = fourier(f)
     acc = 0.0
     for r in range(len(S) + 1):
@@ -388,37 +388,12 @@ def subcube_mass(f: BooleanFunction, S: Sequence[int], a: Sequence[int]) -> floa
     return direct
 
 
-def _split_index(x: int, positions: Sequence[int]):
-    """Split index x into (bits at positions, bits elsewhere), each packed
-    in ascending coordinate order."""
-    a = b = 0
-    ai = bi = 0
-    pos = set(positions)
-    n_bits = max(positions, default=-1) + 1
-    for j in range(max(n_bits, x.bit_length())):
-        bit = x >> j & 1
-        if j in pos:
-            a |= bit << ai
-            ai += 1
-        else:
-            b |= bit << bi
-            bi += 1
-    return a, b
-
-
-def _merge_index(a_bits: int, rest_bits: int, positions: Sequence[int], n: int) -> int:
-    """Inverse of _split_index."""
-    pos = sorted(positions)
-    x = 0
-    ai = bi = 0
-    for j in range(n):
-        if j in pos:
-            x |= (a_bits >> ai & 1) << j
-            ai += 1
-        else:
-            x |= (rest_bits >> bi & 1) << j
-            bi += 1
-    return x
+def _blocks(values: np.ndarray, n: int, S: Sequence[int]) -> np.ndarray:
+    """Values as a (2^|S|, 2^{n-|S|}) matrix: row a_S packs x_S with the
+    lowest coordinate of S as bit 0, column the other coordinates likewise."""
+    axes = [_axis(n, i) for i in sorted(S, reverse=True)]
+    cube = np.reshape(values, (2,) * n)
+    return np.moveaxis(cube, axes, range(len(axes))).reshape(2 ** len(axes), -1)
 
 
 def lex_rearrange(f: BooleanFunction, S: Sequence[int]) -> BooleanFunction:
@@ -427,25 +402,15 @@ def lex_rearrange(f: BooleanFunction, S: Sequence[int]) -> BooleanFunction:
     S = sorted(set(S))
     if any(not 1 <= i <= f.n for i in S):
         raise ValueError("S out of range")
-    positions = [i - 1 for i in S]
-    k = len(S)
-    rest_n = f.n - k
-    counts = {}
-    for x in f.support:
-        a_bits, _ = _split_index(x, positions)
-        counts[a_bits] = counts.get(a_bits, 0) + 1
-    support = set()
-    for a_bits in range(2 ** k):
-        for z in range(counts.get(a_bits, 0)):
-            support.add(_merge_index(a_bits, z, positions, f.n))
-    assert rest_n >= 0
-    return BooleanFunction(f.n, frozenset(support))
+    blocks = _blocks(f.values(), f.n, S)
+    points = _blocks(np.arange(2 ** f.n), f.n, S)
+    prefixes = np.arange(blocks.shape[1]) < blocks.sum(axis=1, keepdims=True)
+    return BooleanFunction.from_support(f.n, points[prefixes])
 
 
 def _coordinate_noise(values: np.ndarray, n: int, i: int, rho: float) -> np.ndarray:
     """Average over flips of coordinate i only."""
-    bit = 1 << (i - 1)
-    flipped = values[np.arange(2 ** n) ^ bit]
+    flipped = np.flip(values.reshape((2,) * n), _axis(n, i)).reshape(-1)
     return (1 + rho) / 2 * values + (1 - rho) / 2 * flipped
 
 
@@ -467,17 +432,11 @@ def check_rearrangement_bound(f: BooleanFunction, S: Sequence[int], rho: float, 
         raise ValueError("q must exceed 1")
     p = 1 + (q - 1) * rho * rho
     lhs = stab_q(f, rho, q)
+    S = sorted(set(S))
     fstar = lex_rearrange(f, S)
-    noised = noise_apply_subset(fstar.values(), f.n, sorted(set(S)), rho)
-    positions = [i - 1 for i in sorted(set(S))]
-    k = len(positions)
-    rest_n = f.n - k
-    acc = 0.0
-    for a_bits in range(2 ** k):
-        block = [noised[_merge_index(a_bits, z, positions, f.n)] for z in range(2 ** rest_n)]
-        inner = float(np.mean(np.asarray(block) ** p))
-        acc += inner ** (q / p)
-    rhs = acc / 2 ** k
+    noised = noise_apply_subset(fstar.values(), f.n, S, rho)
+    inner = [float(np.mean(block ** p)) for block in _blocks(noised, f.n, S)]
+    rhs = sum(v ** (q / p) for v in inner) / 2 ** len(S)
     return lhs, rhs
 
 
@@ -488,13 +447,9 @@ def restrict(f: BooleanFunction, i: int):
         raise ValueError("restriction needs n >= 2")
     if not 1 <= i <= f.n:
         raise ValueError("coordinate out of range")
-    plus, minus = set(), set()
-    pos = [i - 1]
-    for x in f.support:
-        a_bits, rest = _split_index(x, pos)
-        (plus if a_bits else minus).add(rest)
-    return (BooleanFunction(f.n - 1, frozenset(plus)),
-            BooleanFunction(f.n - 1, frozenset(minus)))
+    minus, plus = _blocks(f.values(), f.n, [i])
+    return (BooleanFunction.from_support(f.n - 1, np.flatnonzero(plus)),
+            BooleanFunction.from_support(f.n - 1, np.flatnonzero(minus)))
 
 
 def restrict_and_mix(f: BooleanFunction, i: int, rho: float):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import bounds
-from .cube import MAX_EXHAUSTIVE_N, MAX_N, DimensionError, noise_kernel
+from .cube import MAX_EXHAUSTIVE_N, MAX_N, DimensionError, chi_matrix, noise_kernel
 
 CHECK_NAMES = ("majorization", "gamma", "qstab", "ck")
 
@@ -81,30 +81,10 @@ def noised(F: np.ndarray, n: int, rho: float) -> np.ndarray:
     return F @ noise_kernel(n, rho)
 
 
-def _sorted_cumsums(T: np.ndarray):
-    """Per row: values sorted decreasingly and prefix sums over 2^n cells."""
-    V = -np.sort(-T, axis=1)
-    N = T.shape[1]
-    C = np.concatenate([np.zeros((T.shape[0], 1)), np.cumsum(V, axis=1) / N], axis=1)
-    return V, C
-
-
-def concentration_rows(T: np.ndarray, beta: float):
-    """Greedy mass capture per row at weight budget beta."""
-    N = T.shape[1]
-    V, C = _sorted_cumsums(T)
-    k = min(int(math.floor(beta * N)), N - 1)
-    frac = beta * N - k
-    if beta >= 1.0:
-        return C[:, N]
-    return C[:, k] + frac * V[:, k] / N
-
-
 def dictator_distances(F: np.ndarray, n: int) -> np.ndarray:
     """Matrix of folded distances d~_i(f) for every row and coordinate."""
     N = 2 ** n
-    signs = np.where((np.arange(N)[:, None] >> np.arange(n)[None, :]) & 1, 1.0, -1.0)
-    fhat = (F @ signs) / N
+    fhat = (F @ chi_matrix(n)[:, 1 << np.arange(n)]) / N
     d = 0.5 - fhat
     return np.minimum(d, 1.0 - d)
 
@@ -124,13 +104,24 @@ def _phi_values(name: str, T: np.ndarray) -> np.ndarray:
 def envelope_check(n: int, rho: float, F: np.ndarray,
                    beta_points: int = 64, tol: float = 1e-9) -> CheckResult:
     """T_rho f is majorized by the theta_{1/2} profile: greedy mass capture
-    never exceeds the envelope Theta(1/2, beta) on a beta grid."""
+    never exceeds the envelope Theta(1/2, beta) on a beta grid.
+
+    Each row is sorted decreasingly once; the capture at budget beta is
+    the prefix sum over floor(beta 2^n) cells plus a fraction of the next.
+    """
     T = noised(F, n, rho)
-    grid = np.linspace(0.0, 1.0, beta_points)
+    N = T.shape[1]
+    V = -np.sort(-T, axis=1)
+    C = np.concatenate([np.zeros((T.shape[0], 1)), np.cumsum(V, axis=1) / N], axis=1)
     worst = -math.inf
-    for beta in grid:
+    for beta in np.linspace(0.0, 1.0, beta_points):
         env = bounds.big_theta(0.5, float(beta), rho)
-        worst = max(worst, float(concentration_rows(T, float(beta)).max() - env))
+        if beta >= 1.0:
+            capture = C[:, N]
+        else:
+            k = min(int(math.floor(beta * N)), N - 1)
+            capture = C[:, k] + (beta * N - k) * V[:, k] / N
+        worst = max(worst, float(capture.max() - env))
     return CheckResult("majorization", n, rho, F.shape[0], worst, tol, worst <= tol)
 
 

@@ -158,6 +158,7 @@ def test_brute_guards():
     assert main(["brute", "--n", "5", "--rho", "0.5"]) == 2
     assert main(["brute", "--n", "6", "--rho", "0.5"]) == 2
     assert main(["brute", "--n", "5", "--rho", "0.5", "--sample", "10"]) == 2
+    assert main(["brute", "--n", "5", "--rho", "0.5", "--sample", "0", "--seed", "1"]) == 2
     assert main(["brute", "--n", "2", "--rho", "1.5"]) == 2
     assert main(["brute", "--n", "2", "--rho", "0.5", "--checks", "nope"]) == 2
 
@@ -216,6 +217,21 @@ def test_plot_rerun_is_byte_identical(tmp_path):
 def test_plot_rejects_bad_step():
     assert main(["plot", "--rho-step", "0"]) == 2
     assert main(["plot", "--rho-step", "1.0"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# numeric-domain failures
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["eps-star", "--rho", "1e-9"],
+    ["bounds-table", "--rho", "1e-9"],
+    ["plot", "--rho-step", "1e-9"],
+])
+def test_numeric_domain_failure_is_one_line_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Exact cube computations against brute-force and closed-form oracles."""
 
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -98,15 +102,16 @@ def test_fourier_parity_indicator():
 
 
 def test_fourier_matches_direct_sum():
+    # oracle: E[f chi_S] summed point by point, x_j read from bit j-1 of x
     rng = np.random.default_rng(3)
-    chi = ns.cube.chi_matrix(3)
     for _ in range(10):
         f = random_function(3, rng)
         coeff = ns.fourier(f)
-        direct = (f.values() @ chi) / 8.0
         for s_mask in range(8):
             S = frozenset(j + 1 for j in range(3) if s_mask >> j & 1)
-            assert coeff[S] == direct[s_mask]
+            direct = sum(math.prod(1 if x >> (j - 1) & 1 else -1 for j in S)
+                         for x in f.support) / 8.0
+            assert coeff[S] == direct
 
 
 def test_parseval_exact():
@@ -340,6 +345,37 @@ def test_lex_rearrange_restrictions_are_prefixes():
             block_f = [x for x in f.support if (x >> 2 & 1) == bit]
             block_g = sorted(x & 0b11 for x in g.support if (x >> 2 & 1) == bit)
             assert block_g == list(range(len(block_f)))
+
+
+def _pack(x, coords):
+    """Bits of point x at the given coordinates, packed in the listed order."""
+    return sum((x >> (c - 1) & 1) << j for j, c in enumerate(coords))
+
+
+def test_restrict_and_lex_rearrange_match_index_oracle():
+    # every S subset of [n] and every coordinate, against an oracle read
+    # from the index bits: x lies in the rearrangement iff its index on the
+    # other coordinates is below the count of its block x_S = a
+    rng = np.random.default_rng(47)
+    for n in range(1, 5):
+        coords = range(1, n + 1)
+        for _ in range(12):
+            f = random_function(n, rng, k=int(rng.integers(0, 2 ** n + 1)))
+            for k in range(n + 1):
+                for S in itertools.combinations(coords, k):
+                    rest = [c for c in coords if c not in S]
+                    counts = Counter(_pack(x, S) for x in f.support)
+                    want = {x for x in range(2 ** n) if _pack(x, rest) < counts[_pack(x, S)]}
+                    assert ns.lex_rearrange(f, S).support == want, (f, S)
+            if n < 2:
+                continue
+            for i in coords:
+                rest = [c for c in coords if c != i]
+                f_plus, f_minus = restrict(f, i)
+                assert f_plus == ns.BooleanFunction.from_support(
+                    n - 1, [_pack(x, rest) for x in f.support if x >> (i - 1) & 1])
+                assert f_minus == ns.BooleanFunction.from_support(
+                    n - 1, [_pack(x, rest) for x in f.support if not x >> (i - 1) & 1])
 
 
 def test_rearrangement_bound_examples():
