@@ -539,8 +539,9 @@ def eps_star(rho: float) -> float:
         if lo >= 0.1:
             raise BracketError(f"no negative anchor for eps_star at rho={rho}")
     root = bisect_root(fn, lo, 0.5 - 1e-12, tol=1e-12)
-    if abs(fn(root)) >= 1e-10:
-        raise RuntimeError(f"eps_star residual too large at rho={rho}")
+    # fn is O(rho^2): a small residual proves nothing, a sign change does
+    if not fn(root - 1e-9) < 0.0 < fn(root + 1e-9):
+        raise RuntimeError(f"eps_star root not resolved to 1e-9 at rho={rho}")
     return root
 
 

@@ -22,8 +22,8 @@ evaluation order is fixed so certificates are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +40,8 @@ LIPSCHITZ_M = 20.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _OMEGA_COEF = 4.0 * (math.pi - math.sqrt(2.0 * math.pi))
+#: Spacing of the omega grid behind omega_max.
+_OMEGA_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +106,36 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
     return x, fn(x)
 
 
-def _max_omega_on(b_hi: float, grid_step: float = 1e-5):
+@functools.cache
+def _omega_grid():
+    """omega on the 1e-5 grid of [0, 1/2); each grid of [0, b_hi) is a prefix."""
+    grid = np.arange(0.0, 0.5, _OMEGA_STEP)
+    return grid, omega(grid)
+
+
+@functools.lru_cache(maxsize=1024)
+def _refine_cell(lo: float, hi: float):
+    """Golden-section maximum of omega on one grid cell; on the certified
+    interval every rho refines the same cell around the kink peak."""
+    return _golden_max(lambda b: float(omega(b)), lo, hi)
+
+
+def _max_omega_on(b_hi: float):
     """Maximize omega on [0, b_hi]: dense grid plus golden refinement of
     the winning cell (the peak may be a kink, which golden section handles)."""
     if b_hi <= 0.0:
         return float(omega(0.0)), 0.0
-    grid = np.arange(0.0, b_hi, grid_step)
-    grid = np.append(grid, b_hi)
-    vals = omega(grid)
+    full_grid, full_vals = _omega_grid()
+    n = len(np.arange(0.0, b_hi, _OMEGA_STEP))
+    grid = np.append(full_grid[:n], b_hi)
+    # the endpoint goes through omega as an array, like the grid it joins
+    vals = np.append(full_vals[:n], omega(grid[-1:]))
     i = int(np.argmax(vals))
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    x, fx = _golden_max(lambda b: float(omega(b)), lo, hi)
-    candidates = [(fx, x), (float(vals[i]), float(grid[i])),
-                  (float(vals[0]), 0.0), (float(vals[-1]), b_hi)]
-    best_val, best_arg = max(candidates)
-    return best_val, best_arg
+    x, fx = _refine_cell(lo, hi)
+    return max([(fx, x), (float(vals[i]), float(grid[i])),
+                (float(vals[0]), 0.0), (float(vals[-1]), b_hi)])
 
 
 def omega_max(rho: float):
@@ -161,7 +177,8 @@ class PointEval:
 
 def evaluate_point(rho: float) -> PointEval:
     """Evaluate eps_star, omega_max, t_rho and theta at one correlation.
-    Nothing is cached across rho, so each entry is independently
+    Only rho-independent omega values (the fixed grid and its refined
+    cells) are cached across rho, so each entry is independently
     reproducible."""
     es = eps_star(rho)
     om, arg = _max_omega_on(0.5 - es)
@@ -198,7 +215,8 @@ def upsilon_bar(rho: float) -> float:
         return coef * phi_ratio((1.0 - t) / 2.0) / (1.0 + t - rho * rho)
 
     ts = np.linspace(0.0, 1.0 - 1e-9, 20001)
-    vals = np.array([objective(t) for t in ts])
+    s = (1.0 - ts) / 2.0
+    vals = coef * (h(s) / s) / (1.0 + ts - rho * rho)
     i = int(np.argmax(vals))
     lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, len(ts) - 1)])
     _, best = _golden_max(objective, lo, hi)
@@ -234,9 +252,9 @@ def lipschitz_margin(rho: float, step: float = 1e-6) -> float:
 # the two-variable cross-check
 # ---------------------------------------------------------------------------
 
-def upsilon_gamma(z1: float, z2: float, beta: float, rho: float):
-    """gamma(z1, z2, beta) together with its mass coordinates (p1, p2);
-    returns (value, p1, p2), value = None when (z1, z2) is infeasible."""
+def _gamma_terms(z1, z2, beta: float, rho: float):
+    """gamma(z1, z2, beta) with its mass coordinates (p1, p2) and the
+    feasibility mask, elementwise over broadcastable z1, z2."""
     om = float(omega(beta))
     a_coef = 1.0 + rho - 4.0 * rho * rho * om
     den_mid = 1.0 + rho * z2 - rho * z1 - rho * rho
@@ -244,13 +262,18 @@ def upsilon_gamma(z1: float, z2: float, beta: float, rho: float):
     den2 = 4.0 * (1.0 - 2.0 * rho * z2) * den_mid
     p1 = (1.0 - rho) * (a_coef + 2.0 * beta * (1.0 + 2.0 * rho * z2 - rho * rho)) / den1
     p2 = (1.0 - rho) * (a_coef - 2.0 * beta * (1.0 - 2.0 * rho * z1 - rho * rho)) / den2
-    feasible = (z1 <= z2 and 0.0 <= p1 <= 0.25 + beta / 2.0
-                and 0.0 <= p2 <= 0.25 - beta / 2.0)
-    if not feasible:
-        return None, p1, p2
-    val = (2.0 * p1 * float(h(0.5 + rho * z1))
-           + 2.0 * p2 * float(h(0.5 + rho * z2)))  # Phi_1^sym(0) = 0
-    return val, p1, p2
+    feasible = ((z1 <= z2) & (p1 >= 0.0) & (p1 <= 0.25 + beta / 2.0)
+                & (p2 >= 0.0) & (p2 <= 0.25 - beta / 2.0))
+    # Phi_1^sym(0) = 0, so only the two shifted atoms contribute
+    value = 2.0 * p1 * h(0.5 + rho * z1) + 2.0 * p2 * h(0.5 + rho * z2)
+    return value, p1, p2, feasible
+
+
+def upsilon_gamma(z1: float, z2: float, beta: float, rho: float):
+    """gamma(z1, z2, beta) together with its mass coordinates (p1, p2);
+    returns (value, p1, p2), value = None when (z1, z2) is infeasible."""
+    value, p1, p2, feasible = _gamma_terms(z1, z2, beta, rho)
+    return (float(value) if feasible else None), p1, p2
 
 
 def upsilon_2d(beta: float, rho: float, grid: int = 400) -> float:
@@ -266,22 +289,10 @@ def upsilon_2d(beta: float, rho: float, grid: int = 400) -> float:
         raise ValueError("rho must lie in (0, 1)")
     half = 1.0 / (2.0 * rho)
     z = np.linspace(-half, half, grid + 2)[1:-1]
-    om = float(omega(beta))
-    a_coef = 1.0 + rho - 4.0 * rho * rho * om
-    z1 = z[:, None]
-    z2 = z[None, :]
-    den_mid = 1.0 + rho * z2 - rho * z1 - rho * rho
-    p1 = ((1.0 - rho) * (a_coef + 2.0 * beta * (1.0 + 2.0 * rho * z2 - rho * rho))
-          / (4.0 * (1.0 + 2.0 * rho * z1) * den_mid))
-    p2 = ((1.0 - rho) * (a_coef - 2.0 * beta * (1.0 - 2.0 * rho * z1 - rho * rho))
-          / (4.0 * (1.0 - 2.0 * rho * z2) * den_mid))
-    feasible = ((z1 <= z2) & (p1 >= 0.0) & (p1 <= 0.25 + beta / 2.0)
-                & (p2 >= 0.0) & (p2 <= 0.25 - beta / 2.0))
+    values, _, _, feasible = _gamma_terms(z[:, None], z[None, :], beta, rho)
     if not feasible.any():
         raise RuntimeError(
             f"empty feasible set for beta={beta}, rho={rho} at resolution {grid}")
-    hz = np.asarray(h(0.5 + rho * z))
-    values = 2.0 * p1 * hz[:, None] + 2.0 * p2 * hz[None, :]
     return float(values[feasible].max())
 
 
@@ -302,7 +313,7 @@ class Certificate:
     worst_theta: float
     worst_rho: float
     passed: bool
-    per_point: tuple | None
+    per_point: tuple
     tool_version: str
     failure_reason: str | None = None
 
@@ -318,15 +329,9 @@ def _grid(rho_lo: float, rho_hi: float, step: float):
     return points
 
 
-def _point_tuple(rho: float):
-    pt = evaluate_point(rho)
-    return (pt.rho, pt.theta, pt.t_rho, pt.eps_star, pt.omega_max)
-
-
 def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
                     delta: float = DELTA, lipschitz_m: float = LIPSCHITZ_M,
-                    step: float | None = None, keep_points: bool = True,
-                    threads: int = 1) -> Certificate:
+                    step: float | None = None, threads: int = 1) -> Certificate:
     """Verify theta(rho) < -delta on the inclusive grid of spacing `step`
     (default delta / lipschitz_m).  By the Lipschitz bound this certifies
     theta < 0 on all of [rho_lo, rho_hi].
@@ -334,9 +339,9 @@ def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
     A user-supplied step coarser than delta / lipschitz_m cannot certify
     anything and forces a failed certificate; so does a grid secant slope
     above `lipschitz_m`, which would falsify the assumed constant.  Any
-    evaluation error also fails closed.  Grid evaluation order is fixed;
-    `threads` > 1 splits the grid across processes without changing
-    results.
+    evaluation error also fails closed.  The grid is evaluated in order,
+    in this process; `threads` is accepted for compatibility and has no
+    effect.
     """
     if delta <= 0 or lipschitz_m <= 0:
         raise ValueError("delta and lipschitz_m must be positive")
@@ -350,18 +355,13 @@ def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
     failure = None
     rows = []
     try:
-        if threads > 1 and len(points) > 1:
-            chunk = max(1, len(points) // (threads * 8))
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(_point_tuple, points, chunksize=chunk))
-        else:
-            rows = [_point_tuple(r) for r in points]
+        rows = [(pt.rho, pt.theta, pt.t_rho, pt.eps_star, pt.omega_max)
+                for pt in map(evaluate_point, points)]
     except (BracketError, RuntimeError, ValueError) as exc:
         failure = f"grid evaluation failed: {exc}"
 
     if rows:
-        worst_i = max(range(len(rows)), key=lambda i: rows[i][1])
-        worst_theta, worst_rho = rows[worst_i][1], rows[worst_i][0]
+        worst_rho, worst_theta = max(rows, key=lambda row: row[1])[:2]
     else:
         worst_theta, worst_rho = math.inf, rho_lo
 
@@ -387,7 +387,7 @@ def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
         rho_lo=rho_lo, rho_hi=rho_hi, step=step, delta=delta,
         lipschitz_m=lipschitz_m, n_points=len(points),
         worst_theta=worst_theta, worst_rho=worst_rho, passed=passed,
-        per_point=tuple(rows) if keep_points else None,
+        per_point=tuple(rows),
         tool_version=__version__, failure_reason=failure)
 
 
@@ -420,9 +420,7 @@ def certificate_to_json(cert: Certificate) -> str:
     lines = [f'  "{k}": {_fmt(v)}' for k, v in fields]
     if cert.failure_reason is not None:
         lines.append(f'  "failure_reason": {_fmt(cert.failure_reason)}')
-    if cert.per_point is not None:
-        rows = ",\n".join(
-            "    [" + ", ".join(_fmt(v) for v in row) + "]"
-            for row in cert.per_point)
-        lines.append('  "per_point": [\n' + rows + "\n  ]")
+    rows = ",\n".join(
+        "    [" + ", ".join(_fmt(v) for v in row) + "]" for row in cert.per_point)
+    lines.append('  "per_point": [\n' + rows + "\n  ]")
     return "{\n" + ",\n".join(lines) + "\n}\n"

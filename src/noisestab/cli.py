@@ -11,7 +11,6 @@ file ends with a newline.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import bounds, certify, sweeps
@@ -82,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lipschitz", type=float, default=certify.LIPSCHITZ_M)
     p.add_argument("--step", type=float, default=None,
                    help="grid spacing (default delta/lipschitz)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1, help="has no effect")
     _add_output_flags(p, default_fmt="json")
 
     p = sub.add_parser("eps-star", help="evaluate the threshold eps*(rho)")
@@ -125,8 +124,7 @@ def cmd_verify(args) -> int:
         print("error: delta, lipschitz and step must be positive", file=sys.stderr)
         return EXIT_USAGE
     cert = certify.verify_interval(args.rho_lo, args.rho_hi, args.delta,
-                                   args.lipschitz, step=args.step,
-                                   threads=max(1, args.threads))
+                                   args.lipschitz, step=args.step)
     if args.format == "json":
         text = certify.certificate_to_json(cert)
     elif args.format == "csv":
@@ -134,7 +132,7 @@ def cmd_verify(args) -> int:
                  f"step={cert.step!r} delta={cert.delta!r} "
                  f"lipschitz_m={cert.lipschitz_m!r} pass={cert.passed}",
                  "rho,theta,t_rho,eps_star,omega_max"]
-        for row in cert.per_point or ():
+        for row in cert.per_point:
             lines.append(",".join(repr(v) for v in row))
         text = "\n".join(lines)
     else:

@@ -335,6 +335,41 @@ def test_eps_star_published_value_and_residual():
     assert abs(residual) < 1e-10
 
 
+def _eps_star_mp(rho):
+    """eps_star's root by 200 bisection steps in 50-digit arithmetic."""
+    with mp.workdps(50):
+        r = mp.mpf(rho)
+        c = (1 - r) / 2
+
+        def ent(t):
+            return t * mp.log(t) + (1 - t) * mp.log(1 - t)
+
+        hc, coef = ent(c), 2 * r * r / (1 - r * r)
+
+        def fn(e):
+            return ent(c + r * e) - (1 + coef * e) * hc
+
+        lo, hi = mp.mpf("0.01"), mp.mpf("0.5") - mp.mpf("1e-30")
+        assert fn(lo) < 0 < fn(hi)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if fn(mid) < 0 else (lo, mid)
+        return float(lo)
+
+
+@pytest.mark.parametrize("rho", [0.914, 0.46, 0.1, 0.01, 1e-3, 0.99, 0.999, 0.9999])
+def test_eps_star_against_mpmath_root(rho):
+    assert abs(ns.eps_star(rho) - _eps_star_mp(rho)) <= 1e-9
+
+
+@pytest.mark.parametrize("rho", [1e-4, 1e-5])
+def test_eps_star_fails_closed_below_resolution(rho):
+    # the root equation is O(rho^2): at these rho the float root is off by
+    # 2e-8 and 6e-7 while its absolute residual still looks tiny
+    with pytest.raises(RuntimeError):
+        ns.eps_star(rho)
+
+
 def test_eps_star_lower_bound_on_certified_interval():
     rhos = np.arange(0.46, 0.914 + 1e-12, 0.001)
     values = [ns.eps_star(float(r)) for r in rhos]

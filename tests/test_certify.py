@@ -9,6 +9,7 @@ import pytest
 import noisestab as ns
 from noisestab import sweeps
 from noisestab.certify import (
+    _golden_max,
     _max_omega_on,
     certificate_to_json,
     dictator_sym_one_stability,
@@ -76,6 +77,37 @@ def test_omega_max_truncated_interval_hits_endpoint():
     value, argmax = _max_omega_on(0.1)
     assert argmax == pytest.approx(0.1, abs=1e-9)
     assert value == pytest.approx(float(ns.omega(0.1)), abs=1e-12)
+
+
+def _max_omega_fresh(b):
+    """_max_omega_on's grid-plus-golden maximization with nothing reused:
+    a new 1e-5 grid on [0, b], omega on it, golden refinement of the
+    winning cell."""
+    grid = np.append(np.arange(0.0, b, 1e-5), b)
+    vals = ns.omega(grid)
+    i = int(np.argmax(vals))
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, len(grid) - 1)])
+    x, fx = _golden_max(lambda t: float(ns.omega(t)), lo, hi)
+    return max([(fx, x), (float(vals[i]), float(grid[i])),
+                (float(vals[0]), 0.0), (float(vals[-1]), b)])
+
+
+def test_max_omega_on_matches_fresh_grid_oracle():
+    # three regimes: below the kink peak beta* ~ 0.17566 the right endpoint
+    # wins; on [beta*, 0.345) the kink does; from beta ~ 0.34504 omega
+    # climbs past the kink value again and the endpoint wins once more
+    beta_star = 0.175661
+    rng = np.random.default_rng(2410)
+    bs = [0.1, 0.2, 0.3, 0.345, 0.41, 0.5, 1e-5, 2e-5, 0.17566, 0.34504,
+          *map(float, rng.uniform(0.0, 0.5, 12)), 0.2, 0.41]  # repeats hit the caches
+    assert any(b < beta_star for b in bs)
+    assert any(beta_star <= b < 0.345 for b in bs)
+    assert any(b > 0.345 for b in bs)
+    for b in bs:
+        assert _max_omega_on(b) == _max_omega_fresh(b), b
+    # endpoint maximum off the certified interval: no hard-coded kink peak
+    assert _max_omega_on(0.41)[1] == 0.41
 
 
 def test_omega_max_against_dense_grid_oracle():

@@ -227,6 +227,8 @@ def test_plot_rejects_bad_step():
     ["eps-star", "--rho", "1e-9"],
     ["bounds-table", "--rho", "1e-9"],
     ["plot", "--rho-step", "1e-9"],
+    ["eps-star", "--rho", "1e-5"],
+    ["eps-star", "--rho", "1e-4"],
 ])
 def test_numeric_domain_failure_is_one_line_usage_error(argv, capsys):
     assert main(argv) == 2
