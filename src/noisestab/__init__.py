@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .bounds import (
     BracketError,
     PhiSpec,
-    ThetaMixture,
     ThetaProfile,
     big_theta,
     borell_bound,
@@ -32,7 +31,6 @@ from .bounds import (
     phi_q_asymmetric,
     phi_q_symmetric,
     q_log,
-    theta_mixture,
     theta_profile,
 )
 from .certify import (

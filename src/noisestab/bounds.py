@@ -15,9 +15,11 @@ Its beta-derivative theta_alpha is the universal majorant of T_rho f over
 all Boolean f of mean alpha: the concentration of T_rho f never exceeds
 Theta, hence E[Phi(T_rho f)] <= int_0^1 Phi(theta_alpha) for convex Phi.
 
-On top of the profile sit the bound families: Gamma(eps) (profile mixture
-quadrature), gamma_q (hypercontractive closed form), gamma_one (its q->1
-derivative), the threshold eps_star(rho), and the Gaussian analogues.
+On top of the profile sit the bound families: Gamma (one adaptive
+quadrature in beta of Phi at the mixtures of profiles along the rows of the
+noise kernel, `gamma_vec`; `gamma_phi` is its k = 1 case), gamma_q
+(hypercontractive closed form), gamma_one (its q->1 derivative), the
+threshold eps_star(rho), and the Gaussian analogues.
 """
 
 from __future__ import annotations
@@ -68,8 +70,11 @@ class BracketError(RuntimeError):
     """A root bracket did not change sign; no root was guessed."""
 
 
+_BISECT_MAX_ITER = 200
+
+
 def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12, max_iter: int = 200) -> float:
+                tol: float = 1e-12) -> float:
     """Guaranteed bracketing bisection; never a derivative-based step."""
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
@@ -78,7 +83,7 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
         return hi
     if (flo < 0) == (fhi < 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
         if fmid == 0.0:
@@ -200,11 +205,11 @@ def _region_edges(alpha: float, rho: float):
             1.0 - om_alpha ** (1.0 / r2))  # that = shat/rho (E2 right edge)
 
 
-def _classify(alpha: float, beta: float, rho: float) -> int:
-    """Active clause at an interior point: 1 the (s,t) exponential, 2 the
-    (shat,that) exponential, 3 the constant alpha, 4 the identity beta.
-    Ties go to the lowest clause number."""
-    b_rs, b_sr, b_hrs, b_hsr = _region_edges(alpha, rho)
+def _classify(alpha: float, beta: float, rho: float, edges) -> int:
+    """Active clause at an interior point, given `_region_edges(alpha, rho)`:
+    1 the (s,t) exponential, 2 the (shat,that) exponential, 3 the constant
+    alpha, 4 the identity beta.  Ties go to the lowest clause number."""
+    b_rs, b_sr, b_hrs, b_hsr = edges
     in_e1 = b_sr <= beta <= b_rs
     in_e2 = b_hrs <= beta <= b_hsr
     if in_e1 and in_e2:
@@ -239,7 +244,7 @@ def big_theta(alpha: float, beta: float, rho: float) -> float:
         return alpha * beta
     if rho == 1.0:
         return min(alpha, beta)
-    clause = _classify(alpha, beta, rho)
+    clause = _classify(alpha, beta, rho, _region_edges(alpha, rho))
     omr = 1.0 - rho * rho
     if clause == 1:
         s, t = _s_of(alpha), _s_of(beta)
@@ -253,31 +258,6 @@ def big_theta(alpha: float, beta: float, rho: float) -> float:
     return beta
 
 
-def _clause_value(alpha: float, beta: float, rho: float, clause: int) -> float:
-    """The derivative formula of one envelope clause, regardless of region."""
-    omr = 1.0 - rho * rho
-    if clause == 1:
-        s, t = _s_of(alpha), _s_of(beta)
-        return (t - rho * s) / (omr * t) * math.exp(
-            -(s - rho * t) ** 2 / (2.0 * omr))
-    if clause == 2:
-        sh, th = _s_of_one_minus(alpha), _s_of_one_minus(beta)
-        return 1.0 - (th - rho * sh) / (omr * th) * math.exp(
-            -(sh - rho * th) ** 2 / (2.0 * omr))
-    if clause == 3:
-        return 0.0
-    return 1.0
-
-
-def _profile_value(alpha: float, beta: float, rho: float) -> float:
-    """d Theta / d beta through the clause active at (alpha, beta)."""
-    if beta <= 0.0:
-        return 1.0
-    if beta >= 1.0:
-        return 0.0
-    return _clause_value(alpha, beta, rho, _classify(alpha, beta, rho))
-
-
 @dataclass(frozen=True)
 class ThetaProfile:
     """The profile theta_alpha = dTheta/dbeta for fixed (alpha, rho).
@@ -285,13 +265,16 @@ class ThetaProfile:
     Nonincreasing from 1 to 0 with integral alpha.  `clause_boundaries`
     lists every beta where the active clause changes; all of them are
     continuity points except `jump_beta` = 1 - alpha, where the envelope
-    has a genuine kink and the profile steps down.
+    has a genuine kink and the profile steps down.  `s`, `s_hat` and the
+    four region `edges` (`_region_edges`) are the clause data fixed by
+    (alpha, rho), computed once per profile.
     """
 
     alpha: float
     rho: float
     s: float
     s_hat: float
+    edges: tuple
     clause_boundaries: tuple
     jump_beta: float | None
 
@@ -305,7 +288,27 @@ class ThetaProfile:
             return a
         if r == 1.0:
             return 1.0 if beta <= a else 0.0
-        return _profile_value(a, beta, r)
+        if beta <= 0.0:
+            return 1.0
+        if beta >= 1.0:
+            return 0.0
+        return self._formula(beta, _classify(a, beta, r, self.edges))
+
+    def _formula(self, beta: float, clause: int) -> float:
+        """The derivative formula of one envelope clause, regardless of region."""
+        rho = self.rho
+        omr = 1.0 - rho * rho
+        if clause == 1:
+            s, t = self.s, _s_of(beta)
+            return (t - rho * s) / (omr * t) * math.exp(
+                -(s - rho * t) ** 2 / (2.0 * omr))
+        if clause == 2:
+            sh, th = self.s_hat, _s_of_one_minus(beta)
+            return 1.0 - (th - rho * sh) / (omr * th) * math.exp(
+                -(sh - rho * th) ** 2 / (2.0 * omr))
+        if clause == 3:
+            return 0.0
+        return 1.0
 
     __call__ = value
 
@@ -347,10 +350,9 @@ class ThetaProfile:
             if not 1e-12 < b < 1.0 - 1e-12:
                 continue
             probe = max(1e-12, 1e-9 * min(b, 1.0 - b))
-            left = _classify(self.alpha, b - probe, self.rho)
-            right = _classify(self.alpha, b + probe, self.rho)
-            gap = abs(_clause_value(self.alpha, b, self.rho, left)
-                      - _clause_value(self.alpha, b, self.rho, right))
+            left = _classify(self.alpha, b - probe, self.rho, self.edges)
+            right = _classify(self.alpha, b + probe, self.rho, self.edges)
+            gap = abs(self._formula(b, left) - self._formula(b, right))
             out.append((b, gap))
         return out
 
@@ -362,51 +364,18 @@ def theta_profile(alpha: float, rho: float) -> ThetaProfile:
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     if alpha <= 0.0 or alpha >= 1.0 or rho * rho == 0.0:
-        return ThetaProfile(alpha, rho, 0.0, 0.0, (), None)
-    if rho == 1.0:
-        return ThetaProfile(alpha, rho, _s_of(alpha), _s_of_one_minus(alpha),
-                            (alpha,), None)
-    b_rs, b_sr, b_hrs, b_hsr = _region_edges(alpha, rho)
+        return ThetaProfile(alpha, rho, 0.0, 0.0, (), (), None)
+    edges = _region_edges(alpha, rho)
     s, sh = _s_of(alpha), _s_of_one_minus(alpha)
+    if rho == 1.0:
+        return ThetaProfile(alpha, rho, s, sh, edges, (alpha,), None)
+    b_rs, b_sr, b_hrs, b_hsr = edges
     # The clause switch at beta = 1 - alpha is a jump only when both
     # exponential clauses are admissible there, i.e. rho <= min(s/sh, sh/s).
     jump = 1.0 - alpha if rho <= min(s / sh, sh / s) else None
     bounds = sorted(b for b in {b_rs, b_sr, b_hrs, b_hsr, 1.0 - alpha}
                     if 0.0 < b < 1.0)
-    return ThetaProfile(alpha, rho, s, sh, tuple(bounds), jump)
-
-
-@dataclass(frozen=True)
-class ThetaMixture:
-    """Pointwise nonnegative combination of profiles: sum_i lam_i theta_i."""
-
-    lambdas: tuple
-    profiles: tuple
-
-    def value(self, beta: float) -> float:
-        return sum(l * p.value(beta) for l, p in zip(self.lambdas, self.profiles))
-
-    __call__ = value
-
-    @property
-    def clause_boundaries(self) -> tuple:
-        out = set()
-        for p in self.profiles:
-            out.update(p.clause_boundaries)
-        return tuple(sorted(out))
-
-    def integral(self) -> float:
-        return sum(l * p.alpha for l, p in zip(self.lambdas, self.profiles))
-
-
-def theta_mixture(lambdas: Sequence[float], alphas: Sequence[float],
-                  rho: float) -> ThetaMixture:
-    if len(lambdas) != len(alphas):
-        raise ValueError("weight and mean vectors must have equal length")
-    if any(l < 0 for l in lambdas):
-        raise ValueError("weights must be nonnegative")
-    return ThetaMixture(tuple(float(l) for l in lambdas),
-                        tuple(theta_profile(a, rho) for a in alphas))
+    return ThetaProfile(alpha, rho, s, sh, edges, tuple(bounds), jump)
 
 
 # ---------------------------------------------------------------------------
@@ -436,50 +405,49 @@ def gamma_phi(eps: float, rho: float, phi: PhiSpec) -> float:
         (1/2) int_0^1 Phi(cp th_{1-eps} + cm th_eps)
                     + Phi(cm th_{1-eps} + cp th_eps) dbeta,
 
-    cp = (1+rho)/2, cm = (1-rho)/2.  Gamma(0) is the dictator stability
-    and Gamma(eps) = Gamma(1-eps).
+    cp = (1+rho)/2, cm = (1-rho)/2: `gamma_vec` at k = 1.  Gamma(0) is the
+    dictator stability and Gamma(eps) = Gamma(1-eps).
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if not phi.convex:
         raise ValueError("Gamma requires a convex test function")
-    cp, cm = (1.0 + rho) / 2.0, (1.0 - rho) / 2.0
     if eps in (0.0, 1.0):
+        cp, cm = (1.0 + rho) / 2.0, (1.0 - rho) / 2.0
         return 0.5 * (float(phi(cp)) + float(phi(cm)))
-    m_main = theta_mixture((cp, cm), (1.0 - eps, eps), rho)
-    m_swap = theta_mixture((cm, cp), (1.0 - eps, eps), rho)
-
-    def integrand(beta):
-        return 0.5 * (float(phi(m_main.value(beta))) + float(phi(m_swap.value(beta))))
-
-    points = set(m_main.clause_boundaries)
-    return _integrate_unit(integrand, points)
+    return gamma_vec((1.0 - eps, eps), 1, rho, phi)
 
 
 def gamma_vec(eps: Sequence[float], k: int, rho: float, phi: PhiSpec) -> float:
-    """Vector bound over restrictions to a k-coordinate subcube.
+    """Vector bound over restrictions to a k-coordinate subcube,
 
-    `eps` is indexed by assignment mask m in [0, 2^k): bit j of m set means
-    the j-th subcube coordinate equals +1.  The weight between assignments
-    at Hamming distance d is cp^{k-d} cm^d, the noise kernel on the
-    k-cube; each weight row sums to 1.
+        2^{-k} sum_m int_0^1 Phi(sum_m' K[m, m'] theta_{eps[m']}) dbeta,
+
+    one quadrature of the summed integrand.  `eps` is indexed by assignment
+    mask m in [0, 2^k): bit j of m set means the j-th subcube coordinate
+    equals +1.  K is the noise kernel on the k-cube: the weight between
+    assignments at Hamming distance d is cp^{k-d} cm^d, and each row sums
+    to 1.
     """
     if len(eps) != 2 ** k:
         raise ValueError("eps must have length 2^k")
     if any(not 0.0 <= e <= 1.0 for e in eps):
         raise ValueError("entries of eps must lie in [0, 1]")
-    profiles = {e: theta_profile(e, rho) for e in set(eps)}
-    total = 0.0
-    for weights in noise_kernel(k, rho).tolist():
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise AssertionError("weight row does not sum to 1")
-        mix = ThetaMixture(tuple(weights), tuple(profiles[e] for e in eps))
+    if not phi.convex:
+        raise ValueError("Gamma requires a convex test function")
+    profiles = {e: theta_profile(e, rho) for e in eps}
+    rows = noise_kernel(k, rho).tolist()
+    if any(abs(sum(row) - 1.0) > 1e-12 for row in rows):
+        raise AssertionError("weight row does not sum to 1")
 
-        def integrand(beta, mix=mix):
-            return float(phi(mix.value(beta)))
+    def integrand(beta):
+        value = {e: p.value(beta) for e, p in profiles.items()}
+        column = [value[e] for e in eps]
+        return sum(float(phi(sum(w * v for w, v in zip(row, column))))
+                   for row in rows) / 2 ** k
 
-        total += _integrate_unit(integrand, mix.clause_boundaries)
-    return total / 2 ** k
+    points = set().union(*(p.clause_boundaries for p in profiles.values()))
+    return _integrate_unit(integrand, points)
 
 
 def gamma_q(eps: float, rho: float, q: float) -> float:
@@ -530,6 +498,9 @@ def eps_star(rho: float) -> float:
     def fn(e):
         return float(h(c + rho * e)) - (1.0 + coef * e) * hc
 
+    unresolved = (f"eps_star cannot resolve its root at rho={rho}: the root "
+                  "equation is O(rho^2), and double precision resolves it "
+                  "only for rho above about 7e-4")
     # fn vanishes to second order at 0, so at very small rho the value at
     # the nominal left anchor sits below the rounding floor; walk the
     # anchor up until the sign is resolved, never guessing a root
@@ -537,11 +508,14 @@ def eps_star(rho: float) -> float:
     while fn(lo) >= 0.0:
         lo *= 1e3
         if lo >= 0.1:
-            raise BracketError(f"no negative anchor for eps_star at rho={rho}")
-    root = bisect_root(fn, lo, 0.5 - 1e-12, tol=1e-12)
+            raise RuntimeError(unresolved)
+    try:
+        root = bisect_root(fn, lo, 0.5 - 1e-12, tol=1e-12)
+    except BracketError:
+        raise RuntimeError(unresolved) from None
     # fn is O(rho^2): a small residual proves nothing, a sign change does
     if not fn(root - 1e-9) < 0.0 < fn(root + 1e-9):
-        raise RuntimeError(f"eps_star root not resolved to 1e-9 at rho={rho}")
+        raise RuntimeError(unresolved)
     return root
 
 

@@ -339,17 +339,19 @@ def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
     A user-supplied step coarser than delta / lipschitz_m cannot certify
     anything and forces a failed certificate; so does a grid secant slope
     above `lipschitz_m`, which would falsify the assumed constant.  Any
-    evaluation error also fails closed.  The grid is evaluated in order,
-    in this process; `threads` is accepted for compatibility and has no
-    effect.
+    evaluation error also fails closed.  Non-finite or nonpositive
+    constants raise ValueError.  The grid is evaluated in order, in this
+    process; `threads` is accepted for compatibility and has no effect.
     """
+    if not all(map(math.isfinite, (rho_lo, rho_hi, delta, lipschitz_m))):
+        raise ValueError("rho_lo, rho_hi, delta and lipschitz_m must be finite")
     if delta <= 0 or lipschitz_m <= 0:
         raise ValueError("delta and lipschitz_m must be positive")
     required = delta / lipschitz_m
     if step is None:
         step = required
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     points = _grid(rho_lo, rho_hi, step)
 
     failure = None

@@ -1,11 +1,13 @@
 """Command-line front end: certificates, bound evaluation, brute force.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-configuration error.  An input outside a routine's numeric domain, such as
-a correlation so small that a root bracket has no sign change, is a usage
-error: one `error: ...` line on stderr, no traceback.  Output is text,
-JSON, or CSV; CSV always uses '.' as the decimal separator and every output
-file ends with a newline.
+configuration error.  A usage error is one `error: ...` line on stderr, no
+traceback.  That covers an invalid or non-finite option value, an output
+path that cannot be written, and an input outside a routine's numeric
+domain: eps_star(rho), which eps-star, bounds-table, plot and the localopt
+check evaluate, resolves its root only for rho above about 7e-4.  Output is
+text, JSON, or CSV; CSV always uses '.' as the decimal separator and every
+output file ends with a newline.
 """
 
 from __future__ import annotations
@@ -117,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    if args.rho_hi < args.rho_lo:
-        print("error: --rho-hi below --rho-lo", file=sys.stderr)
-        return EXIT_USAGE
-    if args.delta <= 0 or args.lipschitz <= 0 or (args.step is not None and args.step <= 0):
-        print("error: delta, lipschitz and step must be positive", file=sys.stderr)
-        return EXIT_USAGE
     cert = certify.verify_interval(args.rho_lo, args.rho_hi, args.delta,
                                    args.lipschitz, step=args.step)
     if args.format == "json":
@@ -143,11 +139,7 @@ def cmd_verify(args) -> int:
             f"worst     theta={cert.worst_theta!r} at rho={cert.worst_rho!r}",
             f"pass      {cert.passed}",
         ] + ([f"reason    {cert.failure_reason}"] if cert.failure_reason else []))
-    try:
-        _write(text, args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _write(text, args.out)
     return EXIT_OK if cert.passed else EXIT_CHECK_FAILED
 
 
@@ -240,12 +232,8 @@ def cmd_brute(args) -> int:
         return EXIT_USAGE
     checks = (list(sweeps.CHECK_NAMES) if args.checks == "all"
               else [c for c in args.checks.split(",") if c])
-    try:
-        results = sweeps.run_checks(args.n, rhos, checks,
-                                    sample=args.sample, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    results = sweeps.run_checks(args.n, rhos, checks,
+                                sample=args.sample, seed=args.seed)
     if args.format == "json":
         import json
         text = json.dumps([r.as_dict() for r in results], indent=2)
@@ -279,11 +267,7 @@ def cmd_plot(args) -> int:
             break
         lines.append(f"{rho!r},{bounds.eps_star(rho)!r}")
         k += 1
-    try:
-        _write("\n".join(lines), args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _write("\n".join(lines), args.out)
     return EXIT_OK
 
 
@@ -305,7 +289,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except RuntimeError as exc:  # BracketError and other numeric-domain failures
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

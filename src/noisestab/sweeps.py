@@ -126,7 +126,6 @@ def envelope_check(n: int, rho: float, F: np.ndarray,
 
 
 def gamma_bound_check(n: int, rho: float, F: np.ndarray,
-                      phis: Sequence[str] = GAMMA_PHIS,
                       tol: float = 1e-7) -> CheckResult:
     """Stability under each convex test never exceeds min_i Gamma(d~_i)."""
     N = 2 ** n
@@ -135,7 +134,7 @@ def gamma_bound_check(n: int, rho: float, F: np.ndarray,
     keys = np.round(dt * N).astype(np.int64)
     unique = sorted(set(keys.flatten().tolist()))
     worst = -math.inf
-    for name in phis:
+    for name in GAMMA_PHIS:
         phi = _phi_from_name(name)
         table = {k: bounds.gamma_phi(k / N, rho, phi) for k in unique}
         gmin = np.vectorize(table.get)(keys).min(axis=1)
@@ -145,8 +144,6 @@ def gamma_bound_check(n: int, rho: float, F: np.ndarray,
 
 
 def q_bound_check(n: int, rho: float, F: np.ndarray,
-                  qs_upper: Sequence[float] = Q_UPPER,
-                  qs_lower: Sequence[float] = Q_LOWER,
                   tol: float = 1e-10) -> CheckResult:
     """q-th noise moments against gamma_q, in both directions: upper bound
     for q > 1 at every coordinate (hence at the min), lower bound for
@@ -157,12 +154,12 @@ def q_bound_check(n: int, rho: float, F: np.ndarray,
     keys = np.round(dt * N).astype(np.int64)
     unique = sorted(set(keys.flatten().tolist()))
     worst = -math.inf
-    for q in qs_upper:
+    for q in Q_UPPER:
         table = {k: bounds.gamma_q(k / N, rho, q) for k in unique}
         bound = np.vectorize(table.get)(keys).min(axis=1)
         moment = (T ** q).mean(axis=1)
         worst = max(worst, float((moment - bound).max()))
-    for q in qs_lower:
+    for q in Q_LOWER:
         table = {k: bounds.gamma_q(k / N, rho, q) for k in unique}
         bound = np.vectorize(table.get)(keys).max(axis=1)
         moment = (T ** q).mean(axis=1)

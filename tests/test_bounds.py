@@ -1,6 +1,7 @@
 """Analytic bounds: envelope, profiles, Gamma families, Gaussian forms."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -166,20 +167,6 @@ def test_profile_classification_total():
         assert 0.0 <= v <= 1.0
 
 
-def test_mixture_reductions():
-    rho = 0.6
-    single = ns.theta_mixture([1.0], [0.3], rho)
-    prof = ns.theta_profile(0.3, rho)
-    pair = ns.theta_mixture([0.5, 0.5], [0.3, 0.3], rho)
-    for b in np.linspace(0, 1, 21):
-        assert single.value(b) == prof.value(b)
-        assert pair.value(b) == pytest.approx(prof.value(b), abs=1e-15)
-    with pytest.raises(ValueError):
-        ns.theta_mixture([0.5], [0.3, 0.4], rho)
-    with pytest.raises(ValueError):
-        ns.theta_mixture([-0.1, 1.1], [0.3, 0.4], rho)
-
-
 # ---------------------------------------------------------------------------
 # Gamma by quadrature
 # ---------------------------------------------------------------------------
@@ -187,17 +174,21 @@ def test_mixture_reductions():
 def gauss_legendre_gamma(eps, rho, phi, nodes=48, splits=80):
     """Independent fixed-order composite quadrature for Gamma(eps)."""
     cp, cm = (1 + rho) / 2, (1 - rho) / 2
-    m1 = ns.theta_mixture((cp, cm), (1 - eps, eps), rho)
-    m2 = ns.theta_mixture((cm, cp), (1 - eps, eps), rho)
-    pts = [0.0] + sorted(p for p in set(m1.clause_boundaries) if 0 < p < 1) + [1.0]
+    far, near = ns.theta_profile(1 - eps, rho), ns.theta_profile(eps, rho)
+
+    def integrand(t):
+        a, b = far.value(t), near.value(t)
+        return 0.5 * (float(phi(cp * a + cm * b)) + float(phi(cm * a + cp * b)))
+
+    inner = set(far.clause_boundaries) | set(near.clause_boundaries)
+    pts = [0.0] + sorted(p for p in inner if 0 < p < 1) + [1.0]
     x, w = np.polynomial.legendre.leggauss(nodes)
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         cells = np.linspace(lo, hi, splits + 1)
         for a, b in zip(cells[:-1], cells[1:]):
             mid, half = (a + b) / 2, (b - a) / 2
-            vals = np.array([0.5 * (float(phi(m1.value(t))) + float(phi(m2.value(t))))
-                             for t in mid + half * x])
+            vals = np.array([integrand(t) for t in mid + half * x])
             total += half * float(w @ vals)
     return total
 
@@ -250,6 +241,12 @@ def test_gamma_vec_reductions():
     from noisestab.bounds import _integrate_unit
     want = _integrate_unit(integrand, prof.clause_boundaries)
     assert v3 == pytest.approx(want, abs=1e-9)
+
+
+def test_gamma_vec_rejects_nonconvex_phi():
+    concave = ns.phi_custom(lambda t: -t * t, convex=False)
+    with pytest.raises(ValueError, match="convex"):
+        ns.gamma_vec([0.2, 0.8], 1, 0.5, concave)
 
 
 def test_gamma_vec_distinct_entries_against_direct_oracle():
@@ -362,11 +359,13 @@ def test_eps_star_against_mpmath_root(rho):
     assert abs(ns.eps_star(rho) - _eps_star_mp(rho)) <= 1e-9
 
 
-@pytest.mark.parametrize("rho", [1e-4, 1e-5])
+@pytest.mark.parametrize("rho", [1e-4, 1e-5, 1e-9])
 def test_eps_star_fails_closed_below_resolution(rho):
-    # the root equation is O(rho^2): at these rho the float root is off by
-    # 2e-8 and 6e-7 while its absolute residual still looks tiny
-    with pytest.raises(RuntimeError):
+    # the root equation is O(rho^2): at 1e-4 and 1e-5 the float root is off
+    # by 2e-8 and 6e-7 while its absolute residual still looks tiny, and at
+    # 1e-9 the bracket has no sign change; each failure names the domain
+    with pytest.raises(RuntimeError,
+                       match=re.escape(f"rho={rho}") + ".*above about 7e-4"):
         ns.eps_star(rho)
 
 

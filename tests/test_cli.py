@@ -220,8 +220,11 @@ def test_plot_rejects_bad_step():
 
 
 # ---------------------------------------------------------------------------
-# numeric-domain failures
+# usage errors: numeric domain, non-finite input, unwritable output
 # ---------------------------------------------------------------------------
+
+_MISSING = "<unwritable>"  # replaced by a path under a missing directory
+
 
 @pytest.mark.parametrize("argv", [
     ["eps-star", "--rho", "1e-9"],
@@ -229,9 +232,19 @@ def test_plot_rejects_bad_step():
     ["plot", "--rho-step", "1e-9"],
     ["eps-star", "--rho", "1e-5"],
     ["eps-star", "--rho", "1e-4"],
+    ["eps-star", "--rho", "0.5", "--out", _MISSING],
+    ["gamma", "--eps", "0.1", "--rho", "0.5", "--q", "2", "--out", _MISSING],
+    ["bounds-table", "--out", _MISSING],
+    ["brute", "--n", "1", "--rho", "0.5", "--out", _MISSING],
+    ["plot", "--rho-step", "0.25", "--out", _MISSING],
+    ["verify", "--lipschitz", "inf"],
+    ["verify", "--delta", "nan"],
+    ["verify", "--rho-lo", "nan"],
+    ["verify", "--rho-lo", "0.5", "--rho-hi", "0.5", "--step", "inf"],
 ])
-def test_numeric_domain_failure_is_one_line_usage_error(argv, capsys):
-    assert main(argv) == 2
+def test_numeric_domain_failure_is_one_line_usage_error(argv, tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir" / "out.txt")
+    assert main([missing if a == _MISSING else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
