@@ -43,6 +43,12 @@ def _unit(t):
     return np.clip(t, 0.0, 1.0)
 
 
+def _require_unit(name: str, x: float) -> None:
+    """The domain check of a probability argument (nan fails it)."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
 def h(t):
     """t ln t + (1-t) ln(1-t); the convex pair entropy with 0 ln 0 = 0."""
     t = _unit(t)
@@ -121,8 +127,8 @@ class PhiSpec:
 
 def phi_q_asymmetric(q: float) -> PhiSpec:
     """Phi_q(t) = t ln_q t = (t^q - t)/(q - 1)."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0.0 < q < math.inf:
+        raise ValueError("q must be finite and positive")
     if q == 1.0:
         return phi_one_asymmetric()
     d = q - 1.0
@@ -232,8 +238,7 @@ def big_theta(alpha: float, beta: float, rho: float) -> float:
     Symmetric in (alpha, beta); Theta(alpha, 1) = alpha, Theta(alpha, 0) = 0;
     reduces to alpha*beta at rho = 0 and min(alpha, beta) at rho = 1.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    _require_unit("rho", rho)
     if alpha <= 0.0 or beta <= 0.0:
         return 0.0
     if alpha >= 1.0:
@@ -359,10 +364,8 @@ class ThetaProfile:
 
 def theta_profile(alpha: float, rho: float) -> ThetaProfile:
     """Construct the profile theta_alpha for correlation rho."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    _require_unit("alpha", alpha)
+    _require_unit("rho", rho)
     if alpha <= 0.0 or alpha >= 1.0 or rho * rho == 0.0:
         return ThetaProfile(alpha, rho, 0.0, 0.0, (), (), None)
     edges = _region_edges(alpha, rho)
@@ -383,18 +386,27 @@ def theta_profile(alpha: float, rho: float) -> ThetaProfile:
 # ---------------------------------------------------------------------------
 
 _QUAD_LIMIT = 200
+_QUAD_ERROR_BUDGET = 1e-10
 
 
 def _integrate_unit(fn: Callable[[float], float], inner_points,
                     epsabs: float = 1e-12) -> float:
-    """Adaptive quadrature over [0,1] with forced subdivision points."""
+    """Adaptive quadrature over [0,1] with forced subdivision points; raises
+    RuntimeError when quad's error estimates, summed over the pieces,
+    exceed the budget (its warnings alone are not errors: some flag a
+    benign piece a few ulps wide)."""
     edges = [0.0] + sorted(p for p in set(inner_points) if 0.0 < p < 1.0) + [1.0]
-    total = 0.0
+    total = error = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo <= 0.0:
             continue
-        val, _ = quad(fn, lo, hi, epsabs=epsabs, epsrel=1e-11, limit=_QUAD_LIMIT)
+        val, err, *_ = quad(fn, lo, hi, epsabs=epsabs, epsrel=1e-11,
+                            limit=_QUAD_LIMIT, full_output=1)
         total += val
+        error += err
+    if not error <= _QUAD_ERROR_BUDGET:
+        raise RuntimeError(f"quadrature error estimate {error:.3g} exceeds "
+                           f"the budget {_QUAD_ERROR_BUDGET:g}")
     return total
 
 
@@ -408,8 +420,8 @@ def gamma_phi(eps: float, rho: float, phi: PhiSpec) -> float:
     cp = (1+rho)/2, cm = (1-rho)/2: `gamma_vec` at k = 1.  Gamma(0) is the
     dictator stability and Gamma(eps) = Gamma(1-eps).
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    _require_unit("eps", eps)
+    _require_unit("rho", rho)
     if not phi.convex:
         raise ValueError("Gamma requires a convex test function")
     if eps in (0.0, 1.0):
@@ -436,15 +448,14 @@ def gamma_vec(eps: Sequence[float], k: int, rho: float, phi: PhiSpec) -> float:
     if not phi.convex:
         raise ValueError("Gamma requires a convex test function")
     profiles = {e: theta_profile(e, rho) for e in eps}
-    rows = noise_kernel(k, rho).tolist()
-    if any(abs(sum(row) - 1.0) > 1e-12 for row in rows):
+    kernel = noise_kernel(k, rho)
+    if np.abs(kernel.sum(axis=1) - 1.0).max() > 1e-12:
         raise AssertionError("weight row does not sum to 1")
 
     def integrand(beta):
         value = {e: p.value(beta) for e, p in profiles.items()}
-        column = [value[e] for e in eps]
-        return sum(float(phi(sum(w * v for w, v in zip(row, column))))
-                   for row in rows) / 2 ** k
+        column = np.array([value[e] for e in eps])
+        return float(np.sum(phi((kernel * column).sum(axis=1)))) / 2 ** k
 
     points = set().union(*(p.clause_boundaries for p in profiles.values()))
     return _integrate_unit(integrand, points)
@@ -458,12 +469,14 @@ def gamma_q(eps: float, rho: float, q: float) -> float:
     p = 1 + (q-1) rho^2, e = min(eps, 1-eps).  Upper bound for q > 1,
     lower bound for 0 < q < 1.
     """
-    if q <= 0 or q == 1.0:
-        raise ValueError("gamma_q requires q > 0, q != 1 (use gamma_one at 1)")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    if not 0.0 < q < math.inf or q == 1.0:
+        raise ValueError("gamma_q requires a finite q > 0, q != 1 (use gamma_one at 1)")
+    _require_unit("eps", eps)
+    _require_unit("rho", rho)
     e = min(eps, 1.0 - eps)
     p = 1.0 + (q - 1.0) * rho * rho
+    if p == 0.0:  # rounded away at rho = 1 and q < 2^-53, where p = q
+        p = q
     cp, cm = (1.0 + rho) / 2.0, (1.0 - rho) / 2.0
     up = e + cp ** p * (1.0 - 2.0 * e)
     um = e + cm ** p * (1.0 - 2.0 * e)
@@ -475,8 +488,8 @@ def gamma_one(eps: float, rho: float) -> float:
 
         (1/2)(1-rho^2) h((1-rho)/2 + rho e) + (1/2 - e) rho^2 h((1-rho)/2).
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    _require_unit("eps", eps)
+    _require_unit("rho", rho)
     e = min(eps, 1.0 - eps)
     c = (1.0 - rho) / 2.0
     return (0.5 * (1.0 - rho * rho) * float(h(c + rho * e))

@@ -402,8 +402,8 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float):
-        return format(x, ".17g")
+    if isinstance(x, float):  # strict JSON has no inf or nan
+        return format(x, ".17g") if math.isfinite(x) else "null"
     if x is None:
         return "null"
     return '"' + str(x).replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -411,7 +411,7 @@ def _fmt(x) -> str:
 
 def certificate_to_json(cert: Certificate) -> str:
     """Render a certificate as a JSON document with deterministic float
-    formatting (17 significant digits)."""
+    formatting (17 significant digits); a non-finite float is null."""
     fields = [
         ("rho_lo", cert.rho_lo), ("rho_hi", cert.rho_hi), ("step", cert.step),
         ("delta", cert.delta), ("lipschitz_m", cert.lipschitz_m),

@@ -1,18 +1,23 @@
 """Command-line front end: certificates, bound evaluation, brute force.
 
-Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-configuration error.  A usage error is one `error: ...` line on stderr, no
-traceback.  That covers an invalid or non-finite option value, an output
-path that cannot be written, and an input outside a routine's numeric
-domain: eps_star(rho), which eps-star, bounds-table, plot and the localopt
-check evaluate, resolves its root only for rho above about 7e-4.  Output is
-text, JSON, or CSV; CSV always uses '.' as the decimal separator and every
+Each command parses its arguments, calls one library routine and renders
+the result; the routines own their input domains.  Exit codes: 0 all
+checks passed, 1 a mathematical check failed, 2 usage or configuration
+error.  A usage error is one `error: ...` line on stderr, no traceback.
+That covers an argument argparse rejects, an invalid or non-finite option
+value, an output path that cannot be written, and an input outside a
+routine's numeric domain: eps_star(rho), which eps-star, bounds-table,
+plot and the localopt check evaluate, resolves its root only for rho
+above about 7e-4.  Output is text, JSON, or CSV; JSON writes null for a
+non-finite value, CSV always uses '.' as the decimal separator and every
 output file ends with a newline.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 
 from . import bounds, certify, sweeps
@@ -34,35 +39,41 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _kv_json(pairs) -> str:
-    import json
-    return json.dumps(dict(pairs))
+def _finite(record: dict) -> dict:
+    """The record with each non-finite float as None (JSON null)."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in record.items()}
 
 
-def _kv_csv(pairs) -> str:
-    head = ",".join(k for k, _ in pairs)
-    row = ",".join(repr(v) if isinstance(v, float) else str(v) for _, v in pairs)
-    return head + "\n" + row
+def _csv(header, rows) -> str:
+    """A header line, then one line per row: floats by repr, the rest by str."""
+    return "\n".join([",".join(header)] + [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+        for row in rows])
 
 
 def _emit_pairs(pairs, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        _write(_kv_json(pairs), out)
+        text = json.dumps(_finite(dict(pairs)))
     elif fmt == "csv":
-        _write(_kv_csv(pairs), out)
+        keys, values = zip(*pairs)
+        text = _csv(keys, [values])
     else:
-        _write("\n".join(f"{k} = {v}" for k, v in pairs), out)
+        text = "\n".join(f"{k} = {v}" for k, v in pairs)
+    _write(text, out)
 
 
 def _parse_rho_list(values) -> list:
     if not values:
         return list(DEFAULT_BRUTE_RHOS)
-    out = []
-    for chunk in values:
-        for part in str(chunk).split(","):
-            if part:
-                out.append(float(part))
-    return out
+    return [float(part) for chunk in values for part in chunk.split(",") if part]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each argparse usage error as ValueError, for `main` to report."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _add_output_flags(p: argparse.ArgumentParser, default_fmt: str = "text") -> None:
@@ -71,7 +82,7 @@ def _add_output_flags(p: argparse.ArgumentParser, default_fmt: str = "text") -> 
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisestab",
         description="Noise-stability bounds and the dictator-optimality certificate")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -124,13 +135,11 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         text = certify.certificate_to_json(cert)
     elif args.format == "csv":
-        lines = [f"# rho_lo={cert.rho_lo!r} rho_hi={cert.rho_hi!r} "
-                 f"step={cert.step!r} delta={cert.delta!r} "
-                 f"lipschitz_m={cert.lipschitz_m!r} pass={cert.passed}",
-                 "rho,theta,t_rho,eps_star,omega_max"]
-        for row in cert.per_point:
-            lines.append(",".join(repr(v) for v in row))
-        text = "\n".join(lines)
+        text = (f"# rho_lo={cert.rho_lo!r} rho_hi={cert.rho_hi!r} "
+                f"step={cert.step!r} delta={cert.delta!r} "
+                f"lipschitz_m={cert.lipschitz_m!r} pass={cert.passed}\n"
+                + _csv(["rho", "theta", "t_rho", "eps_star", "omega_max"],
+                       cert.per_point))
     else:
         text = "\n".join([
             f"interval  [{cert.rho_lo}, {cert.rho_hi}]  step {cert.step}",
@@ -144,21 +153,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eps_star(args) -> int:
-    if not 0.0 < args.rho < 1.0:
-        print("error: --rho must lie strictly inside (0, 1)", file=sys.stderr)
-        return EXIT_USAGE
     value = bounds.eps_star(args.rho)
     _emit_pairs([("rho", args.rho), ("eps_star", value)], args.format, args.out)
     return EXIT_OK
 
 
 def cmd_gamma(args) -> int:
-    if not 0.0 <= args.eps <= 1.0 or not 0.0 <= args.rho <= 1.0:
-        print("error: eps and rho must lie in [0, 1]", file=sys.stderr)
-        return EXIT_USAGE
-    if args.q is not None and args.q <= 0:
-        print("error: --q must be positive", file=sys.stderr)
-        return EXIT_USAGE
     pairs = [("eps", args.eps), ("rho", args.rho)]
     if args.phi is None and args.q is not None:
         # closed forms: gamma_q for q != 1, its q-derivative limit at q = 1
@@ -173,8 +173,7 @@ def cmd_gamma(args) -> int:
         factory = bounds.PHI_BY_NAME[name]
         if name.startswith("q-"):
             if args.q is None:
-                print("error: --phi q-sym/q-asym needs --q", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("--phi q-sym/q-asym needs --q")
             phi = factory(args.q)
         else:
             phi = factory()
@@ -194,9 +193,6 @@ _PUBLISHED = {
 
 
 def cmd_bounds_table(args) -> int:
-    if not 0.0 < args.rho < 1.0:
-        print("error: --rho must lie strictly inside (0, 1)", file=sys.stderr)
-        return EXIT_USAGE
     pt = certify.evaluate_point(args.rho)
     rows = [
         ("eps_star", pt.eps_star), ("omega_max", pt.omega_max),
@@ -214,35 +210,15 @@ def cmd_bounds_table(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    if args.n < 1 or args.n > sweeps.MAX_N:
-        print(f"error: --n must lie in 1..{sweeps.MAX_N}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.n > sweeps.MAX_EXHAUSTIVE_N and args.sample is None:
-        print("error: n = 5 requires --sample with --seed", file=sys.stderr)
-        return EXIT_USAGE
-    if args.sample is not None and args.seed is None:
-        print("error: --sample requires --seed", file=sys.stderr)
-        return EXIT_USAGE
-    if args.sample is not None and args.sample <= 0:
-        print("error: --sample must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    rhos = _parse_rho_list(args.rho)
-    if any(not 0.0 <= r <= 1.0 for r in rhos):
-        print("error: rho values must lie in [0, 1]", file=sys.stderr)
-        return EXIT_USAGE
     checks = (list(sweeps.CHECK_NAMES) if args.checks == "all"
               else [c for c in args.checks.split(",") if c])
-    results = sweeps.run_checks(args.n, rhos, checks,
+    results = sweeps.run_checks(args.n, _parse_rho_list(args.rho), checks,
                                 sample=args.sample, seed=args.seed)
     if args.format == "json":
-        import json
-        text = json.dumps([r.as_dict() for r in results], indent=2)
+        text = json.dumps([_finite(r.as_dict()) for r in results], indent=2)
     elif args.format == "csv":
-        lines = ["check,n,rho,tested,max_violation,tolerance,pass"]
-        for r in results:
-            lines.append(f"{r.name},{r.n},{r.rho!r},{r.tested},"
-                         f"{r.max_violation!r},{r.tolerance!r},{r.passed}")
-        text = "\n".join(lines)
+        text = _csv(["check", "n", "rho", "tested", "max_violation", "tolerance", "pass"],
+                    [r.as_dict().values() for r in results])
     else:
         lines = []
         for r in results:
@@ -256,18 +232,13 @@ def cmd_brute(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if not 0.0 < args.rho_step < 1.0:
-        print("error: --rho-step must lie in (0, 1)", file=sys.stderr)
-        return EXIT_USAGE
-    lines = ["rho,eps_star"]
-    k = 1
-    while True:
-        rho = k * args.rho_step
-        if rho >= 1.0 - 1e-12:
-            break
-        lines.append(f"{rho!r},{bounds.eps_star(rho)!r}")
+    if not 0.0 < args.rho_step < 1.0:  # the loop below is the CLI's own
+        raise ValueError("--rho-step must lie in (0, 1)")
+    rows, k = [], 1
+    while (rho := k * args.rho_step) < 1.0 - 1e-12:
+        rows.append((rho, bounds.eps_star(rho)))
         k += 1
-    _write("\n".join(lines), args.out)
+    _write(_csv(["rho", "eps_star"], rows), args.out)
     return EXIT_OK
 
 
@@ -282,13 +253,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help, after argparse has printed it
+        return exc.code
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

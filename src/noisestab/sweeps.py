@@ -96,9 +96,14 @@ def _phi_from_name(name: str) -> bounds.PhiSpec:
     return bounds.PHI_BY_NAME[name]()
 
 
-def _phi_values(name: str, T: np.ndarray) -> np.ndarray:
-    phi = _phi_from_name(name)
-    return np.asarray(phi.fn(T))
+def _coordinate_bounds(F: np.ndarray, n: int, bound) -> np.ndarray:
+    """bound(d~_i(f)) for every row f of F and coordinate i, with one call
+    of `bound` per distinct distance (in increasing order)."""
+    N = 2 ** n
+    keys = np.round(dictator_distances(F, n) * N).astype(np.int64)
+    unique = np.unique(keys)
+    values = np.array([bound(k / N) for k in unique.tolist()])
+    return values[np.searchsorted(unique, keys)]
 
 
 def envelope_check(n: int, rho: float, F: np.ndarray,
@@ -128,17 +133,13 @@ def envelope_check(n: int, rho: float, F: np.ndarray,
 def gamma_bound_check(n: int, rho: float, F: np.ndarray,
                       tol: float = 1e-7) -> CheckResult:
     """Stability under each convex test never exceeds min_i Gamma(d~_i)."""
-    N = 2 ** n
     T = noised(F, n, rho)
-    dt = dictator_distances(F, n)
-    keys = np.round(dt * N).astype(np.int64)
-    unique = sorted(set(keys.flatten().tolist()))
     worst = -math.inf
     for name in GAMMA_PHIS:
         phi = _phi_from_name(name)
-        table = {k: bounds.gamma_phi(k / N, rho, phi) for k in unique}
-        gmin = np.vectorize(table.get)(keys).min(axis=1)
-        stab = _phi_values(name, T).mean(axis=1)
+        gmin = _coordinate_bounds(
+            F, n, lambda e: bounds.gamma_phi(e, rho, phi)).min(axis=1)
+        stab = np.asarray(phi.fn(T)).mean(axis=1)
         worst = max(worst, float((stab - gmin).max()))
     return CheckResult("gamma", n, rho, F.shape[0], worst, tol, worst <= tol)
 
@@ -148,20 +149,16 @@ def q_bound_check(n: int, rho: float, F: np.ndarray,
     """q-th noise moments against gamma_q, in both directions: upper bound
     for q > 1 at every coordinate (hence at the min), lower bound for
     0 < q < 1 (hence at the max)."""
-    N = 2 ** n
     T = noised(F, n, rho)
-    dt = dictator_distances(F, n)
-    keys = np.round(dt * N).astype(np.int64)
-    unique = sorted(set(keys.flatten().tolist()))
     worst = -math.inf
     for q in Q_UPPER:
-        table = {k: bounds.gamma_q(k / N, rho, q) for k in unique}
-        bound = np.vectorize(table.get)(keys).min(axis=1)
+        bound = _coordinate_bounds(
+            F, n, lambda e: bounds.gamma_q(e, rho, q)).min(axis=1)
         moment = (T ** q).mean(axis=1)
         worst = max(worst, float((moment - bound).max()))
     for q in Q_LOWER:
-        table = {k: bounds.gamma_q(k / N, rho, q) for k in unique}
-        bound = np.vectorize(table.get)(keys).max(axis=1)
+        bound = _coordinate_bounds(
+            F, n, lambda e: bounds.gamma_q(e, rho, q)).max(axis=1)
         moment = (T ** q).mean(axis=1)
         worst = max(worst, float((bound - moment).max()))
     return CheckResult("qstab", n, rho, F.shape[0], worst, tol, worst <= tol)
@@ -205,11 +202,22 @@ def run_checks(n: int, rhos: Sequence[float],
                checks: Sequence[str] = CHECK_NAMES,
                sample: int | None = None, seed: int | None = None):
     """Run the named checks for each rho over all balanced functions at
-    dimension n (or a seeded sample when `sample` is given)."""
+    dimension n (or a seeded sample when `sample` is given).  n = 5 needs
+    a sample, and a sample needs a seed."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must lie in 1..{MAX_N}")
+    if len(checks) == 0:
+        raise ValueError(f"no check named; choose from {sorted(_CHECK_FNS)}")
     for name in checks:
         if name not in _CHECK_FNS:
             raise ValueError(f"unknown check {name!r}; choose from {sorted(_CHECK_FNS)}")
+    if len(rhos) == 0:
+        raise ValueError("no rho given")
+    if any(not 0.0 <= r <= 1.0 for r in rhos):
+        raise ValueError("rho values must lie in [0, 1]")
     if sample is not None:
+        if sample <= 0:
+            raise ValueError("sample must be positive")
         if seed is None:
             raise ValueError("sampling requires a seed for reproducibility")
         F = sampled_balanced_supports(n, sample, seed)

@@ -293,6 +293,43 @@ def test_gamma_q_closed_forms():
         ns.gamma_q(0.1, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ns.gamma_q(0.1, 2.0, 2.0),
+    lambda: ns.gamma_q(0.1, -0.5, 2.0),
+    lambda: ns.gamma_q(0.1, math.nan, 2.0),
+    lambda: ns.gamma_q(0.1, 0.5, math.nan),
+    lambda: ns.gamma_q(0.1, 0.5, math.inf),
+    lambda: ns.gamma_q(0.1, 0.5, 0.0),
+    lambda: ns.gamma_one(0.1, 2.0),
+    lambda: ns.gamma_one(0.1, math.nan),
+    lambda: ns.gamma_phi(0.0, 2.0, ns.phi_one_symmetric()),
+    lambda: ns.gamma_phi(1.0, -1.0, ns.phi_one_symmetric()),
+    lambda: ns.gamma_phi(0.1, math.nan, ns.phi_one_symmetric()),
+    lambda: ns.phi_q_asymmetric(math.nan),
+    lambda: ns.phi_q_asymmetric(math.inf),
+    lambda: ns.phi_q_symmetric(-1.0),
+])
+def test_bounds_reject_inputs_outside_their_domain(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_gamma_q_at_rho_one_with_tiny_q():
+    # p = 1 + (q - 1) rho^2 rounds to 0 here; the exact p is q
+    assert ns.gamma_q(0.1, 1.0, 1e-300) == 0.5
+
+
+def test_integrate_unit_fails_closed_on_error_budget():
+    from noisestab.bounds import _integrate_unit
+    with pytest.raises(RuntimeError, match="quadrature error estimate"):
+        _integrate_unit(lambda b: math.sin(1e6 * b), ())
+    # quad warns on this input, but its summed error estimate is ~1e-12
+    value = ns.gamma_vec([0.7379477282289412, 0.6532688191705419,
+                          0.21634668086073783, 0.9283431848141308],
+                         2, 0.08233946916118962, ns.phi_q_asymmetric(2))
+    assert value == pytest.approx(-0.22990222556986917, abs=1e-12)
+
+
 def test_gamma_q_pinned_extended_precision():
     mp = pytest.importorskip("mpmath").mp
     mpf = pytest.importorskip("mpmath").mpf

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noisestab as ns
 from noisestab.cli import main
@@ -241,12 +244,99 @@ _MISSING = "<unwritable>"  # replaced by a path under a missing directory
     ["verify", "--delta", "nan"],
     ["verify", "--rho-lo", "nan"],
     ["verify", "--rho-lo", "0.5", "--rho-hi", "0.5", "--step", "inf"],
+    ["gamma", "--eps", "0.1", "--rho", "0.5", "--q", "nan"],
+    ["gamma", "--eps", "0.1", "--rho", "0.5", "--q", "inf"],
+    ["gamma", "--eps", "0.1", "--rho", "0.5", "--phi", "q-asym", "--q", "nan"],
+    ["gamma", "--eps", "0.1", "--rho", "2.0", "--q", "2"],
+    ["gamma", "--eps", "0.1", "--rho", "2.0", "--q", "1"],
+    ["gamma", "--eps", "0.0", "--rho", "2.0", "--phi", "one-sym"],
+    ["brute", "--n", "2", "--rho", ","],
+    ["brute", "--n", "2", "--rho", "0.5", "--checks", ","],
+    ["brute", "--n", "2", "--rho", "1.5", "--checks", "ck"],
+    ["brute", "--n", "0", "--rho", "0.5"],
+    ["brute", "--n", "5", "--rho", "0.5", "--sample", "0", "--seed", "1"],
+    ["eps-star", "--rho", "abc"],
+    ["eps-star", "--rho", "-inf"],
+    ["frobnicate"],
+    [],
 ])
 def test_numeric_domain_failure_is_one_line_usage_error(argv, tmp_path, capsys):
     missing = str(tmp_path / "no" / "such" / "dir" / "out.txt")
     assert main([missing if a == _MISSING else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and +-Infinity, which strict JSON lacks."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["verify", "--rho-lo", "0.0001", "--rho-hi", "0.0002"], "worst_theta"),
+    (["brute", "--n", "5", "--rho", "0.6", "--sample", "3", "--seed", "1",
+      "--checks", "localopt", "--format", "json"], "max_violation"),
+])
+def test_json_writes_null_for_non_finite(argv, field, capsys):
+    code, out = run(argv, capsys)
+    assert code in (0, 1)
+    doc = _strict_json(out)
+    assert (doc[0] if isinstance(doc, list) else doc)[field] is None
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["gamma", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: noisestab")
+
+
+# ---------------------------------------------------------------------------
+# input sweep: every input gives an answer or one error line
+# ---------------------------------------------------------------------------
+
+_floats = st.one_of(st.floats(), st.floats(-0.5, 1.5),
+                    st.sampled_from([0.0, 1.0, 0.5, 1e-300]))
+_values = _floats.map(repr) | st.sampled_from(["abc", "", "0.5,0.6"])
+
+
+def _opt(name, value):
+    return f"--{name}={value}"
+
+
+_eps_star = st.builds(lambda rho: ["eps-star", _opt("rho", rho)], _values)
+_bounds_table = st.builds(lambda rho: ["bounds-table", _opt("rho", rho)], _values)
+_gamma = st.builds(
+    lambda eps, rho, q, phi: (["gamma", _opt("eps", eps), _opt("rho", rho)]
+                              + ([_opt("q", q)] if q is not None else [])
+                              + ([f"--phi={phi}"] if phi else [])),
+    _values, _values, st.none() | _values | st.floats(0.1, 4.0).map(repr),
+    st.sampled_from([None, "one-sym", "one-asym", "q-sym", "q-asym"]))
+_brute = st.builds(
+    lambda n, rhos, checks, sample, seed: (
+        ["brute", f"--n={n}", "--rho=" + ",".join(map(repr, rhos)),
+         "--checks=" + ",".join(checks)]
+        + ([f"--sample={sample}"] if sample is not None else [])
+        + ([f"--seed={seed}"] if seed is not None else [])),
+    st.integers(-1, 3), st.lists(_floats, max_size=2),
+    st.lists(st.sampled_from(["ck", "qstab", "majorization", "localopt", "nope"]),
+             max_size=2),
+    st.none() | st.integers(-1, 20), st.none() | st.integers(-1, 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_eps_star, _bounds_table, _gamma, _brute))
+def test_every_input_gives_strict_json_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format=json"])
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    else:
+        assert code in (0, 1), (argv, code)
+        _strict_json(out.getvalue())
 
 
 # ---------------------------------------------------------------------------

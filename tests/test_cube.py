@@ -468,6 +468,23 @@ def test_sweep_results_independent_of_partitioning():
     assert chunked_q == whole_q
 
 
+@pytest.mark.parametrize("n, rhos, checks, sample, seed", [
+    (2, [1.5], ["ck"], None, None),
+    (2, [math.nan], ["ck"], None, None),
+    (2, [], ["ck"], None, None),
+    (2, [0.5], [], None, None),
+    (2, [0.5], ["nope"], None, None),
+    (0, [0.5], ["ck"], None, None),
+    (6, [0.5], ["ck"], 10, 1),
+    (5, [0.5], ["ck"], None, None),
+    (2, [0.5], ["ck"], 0, 1),
+    (2, [0.5], ["ck"], 10, None),
+])
+def test_run_checks_rejects_inputs_outside_its_domain(n, rhos, checks, sample, seed):
+    with pytest.raises(ValueError):
+        sweeps.run_checks(n, rhos, checks, sample=sample, seed=seed)
+
+
 def test_sampled_supports_seeded_and_balanced():
     a = sweeps.sampled_balanced_supports(5, 25, seed=11)
     b = sweeps.sampled_balanced_supports(5, 25, seed=11)
