@@ -79,28 +79,41 @@ class BracketError(RuntimeError):
 _BISECT_MAX_ITER = 200
 
 
-def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12) -> float:
-    """Guaranteed bracketing bisection; never a derivative-based step."""
+def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
+    """Guaranteed bracketing bisection; never a derivative-based step.
+
+    Lane-wise over the broadcast shape of lo, hi and fn's values (fn maps
+    an array of points to an array of values): each lane stops on its own,
+    exactly as a one-lane call would.  A BracketError names the first lane
+    without a sign change; a 0-d result is a float.
+    """
     flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0) == (fhi < 0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+    lo, hi, flo, fhi = (np.array(a, dtype=float)
+                        for a in np.broadcast_arrays(lo, hi, flo, fhi))
+    no_change = (flo != 0.0) & (fhi != 0.0) & ((flo < 0) == (fhi < 0))
+    if no_change.any():
+        k = np.flatnonzero(no_change)[0]
+        a, b, fa, fb = (float(x.flat[k]) for x in (lo, hi, flo, fhi))
+        raise BracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
+    # an exact zero collapses its lane to lo = hi = the root (lo's zero
+    # first, as a one-lane call checks it first); the lane then stays put
+    # and its midpoint is the root
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where(fhi == 0.0, hi, lo)
+    live = lo != hi
+    neg_lo = flo < 0  # lo only ever moves to a point of the same sign
     for _ in range(_BISECT_MAX_ITER):
+        if not live.any():
+            break
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+        zero = fmid == 0.0
+        same = (fmid < 0) == neg_lo
+        np.copyto(lo, mid, where=live & (same | zero))
+        np.copyto(hi, mid, where=live & (zero | ~same))
+        live &= hi - lo > tol
+    out = 0.5 * (lo + hi)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +487,9 @@ def gamma_q(eps: float, rho: float, q: float) -> float:
     _require_unit("eps", eps)
     _require_unit("rho", rho)
     e = min(eps, 1.0 - eps)
-    p = 1.0 + (q - 1.0) * rho * rho
-    if p == 0.0:  # rounded away at rho = 1 and q < 2^-53, where p = q
-        p = q
+    # 1 + (q-1) rho^2, without the cancellation that rounds it to 0 (or
+    # to 2^-53 units) at rho = 1 and tiny q, where p = q
+    p = (1.0 - rho) * (1.0 + rho) + q * rho * rho
     cp, cm = (1.0 + rho) / 2.0, (1.0 - rho) / 2.0
     up = e + cp ** p * (1.0 - 2.0 * e)
     um = e + cm ** p * (1.0 - 2.0 * e)
@@ -496,40 +509,54 @@ def gamma_one(eps: float, rho: float) -> float:
             + (0.5 - e) * rho * rho * float(h(c)))
 
 
-def eps_star(rho: float) -> float:
+def _eps_star_equation(rho):
+    """e -> h((1-rho)/2 + rho e) - (1 + 2 rho^2 e / (1-rho^2)) h((1-rho)/2),
+    lane-wise in rho."""
+    c = (1.0 - rho) / 2.0
+    hc = h(c)
+    coef = 2.0 * rho * rho / (1.0 - rho * rho)
+    return lambda e: h(c + rho * e) - (1.0 + coef * e) * hc
+
+
+def eps_star(rho):
     """Threshold distance below which gamma_one certifies dictator
     optimality: the unique root in (0, 1/2) of
 
         h((1-rho)/2 + rho e) = (1 + 2 rho^2 e / (1-rho^2)) h((1-rho)/2).
+
+    Lane-wise over an array of rho, each lane with the checks of a
+    one-lane call; an unresolved lane raises RuntimeError naming the first
+    such rho.  A scalar rho gives a float.
     """
-    if not 0.0 < rho < 1.0:
+    rho = np.asarray(rho, dtype=float)
+    if not np.all((0.0 < rho) & (rho < 1.0)):
         raise ValueError("eps_star requires rho in (0, 1)")
-    c = (1.0 - rho) / 2.0
-    hc = float(h(c))
-    coef = 2.0 * rho * rho / (1.0 - rho * rho)
-
-    def fn(e):
-        return float(h(c + rho * e)) - (1.0 + coef * e) * hc
-
-    unresolved = (f"eps_star cannot resolve its root at rho={rho}: the root "
-                  "equation is O(rho^2), and double precision resolves it "
-                  "only for rho above about 7e-4")
+    fn = _eps_star_equation(rho)
     # fn vanishes to second order at 0, so at very small rho the value at
     # the nominal left anchor sits below the rounding floor; walk the
     # anchor up until the sign is resolved, never guessing a root
-    lo = 1e-12
-    while fn(lo) >= 0.0:
-        lo *= 1e3
-        if lo >= 0.1:
-            raise RuntimeError(unresolved)
-    try:
-        root = bisect_root(fn, lo, 0.5 - 1e-12, tol=1e-12)
-    except BracketError:
-        raise RuntimeError(unresolved) from None
+    lo = np.full(rho.shape, 1e-12)
+    unresolved = np.zeros(rho.shape, dtype=bool)
+    while (walk := ~unresolved & (fn(lo) >= 0.0)).any():
+        lo = np.where(walk, lo * 1e3, lo)
+        unresolved |= lo >= 0.1
+    # the bracket is checked here, not by bisect_root's BracketError, so
+    # that a lane failing here does not hide an earlier lane failing later
+    hi = 0.5 - 1e-12
+    unresolved |= fn(hi) < 0.0  # fn(lo) < 0 too: no sign change
+    root = np.full(rho.shape, np.nan)
+    ok = ~unresolved
+    if ok.any():
+        root[ok] = bisect_root(_eps_star_equation(rho[ok]), lo[ok], hi, tol=1e-12)
     # fn is O(rho^2): a small residual proves nothing, a sign change does
-    if not fn(root - 1e-9) < 0.0 < fn(root + 1e-9):
-        raise RuntimeError(unresolved)
-    return root
+    unresolved |= ~((fn(root - 1e-9) < 0.0) & (0.0 < fn(root + 1e-9)))
+    if unresolved.any():
+        first = float(rho.flat[np.flatnonzero(unresolved)[0]])
+        raise RuntimeError(
+            f"eps_star cannot resolve its root at rho={first}: the root "
+            "equation is O(rho^2), and double precision resolves it only "
+            "for rho above about 7e-4")
+    return float(root) if root.ndim == 0 else root
 
 
 def gamma_asymptotic(eps: float, rho: float, phi: PhiSpec) -> float:

@@ -18,6 +18,13 @@ theta(rho_k) < -delta on a grid of spacing delta/M proves theta < 0
 everywhere in between.  Floating point is plain double precision; the
 slack delta absorbs rounding, every root carries a residual check, and
 evaluation order is fixed so certificates are bit-reproducible.
+
+The grid is evaluated in lanes: each stage takes an array of rho (one
+lane per grid point) and runs its root searches in lockstep, every lane
+stopping on its own.  A lane performs exactly the arithmetic of the
+one-lane (scalar) call, so each entry stays independently reproducible;
+a scalar call is the one-lane case and returns floats.  A failing stage
+names its first failing lane in grid order.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ _OMEGA_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
-# scalar building blocks (numpy-aware where grids need them)
+# building blocks, lane-wise over arrays
 # ---------------------------------------------------------------------------
 
 def varphi(t):
@@ -73,18 +80,24 @@ def omega(beta):
     return float(out) if out.ndim == 0 else out
 
 
-def phi_ratio(s: float) -> float:
+def phi_ratio(s):
     """phi(s) = Phi_1^sym(s)/s = (s ln s + (1-s) ln(1-s))/s on (0, 1)."""
-    if not 0.0 < s < 1.0:
+    s = np.asarray(s, dtype=float)
+    if not ((0.0 < s) & (s < 1.0)).all():
         raise ValueError("phi_ratio requires s in (0, 1)")
-    return float(h(s)) / s
+    out = h(s) / s
+    return float(out) if out.ndim == 0 else out
 
 
-def phi_ratio_prime(s: float) -> float:
-    """phi'(s) = -ln(1-s)/s^2."""
-    if not 0.0 < s < 1.0:
+def phi_ratio_prime(s):
+    """phi'(s) = -ln(1-s)/s^2, with math.log1p in every lane (numpy's SIMD
+    log1p differs from it in the last bit for some inputs)."""
+    s = np.asarray(s, dtype=float)
+    if not ((0.0 < s) & (s < 1.0)).all():
         raise ValueError("phi_ratio_prime requires s in (0, 1)")
-    return -math.log1p(-s) / (s * s)
+    log = np.fromiter(map(math.log1p, (-s).ravel().tolist()), float, s.size)
+    out = -log.reshape(s.shape) / (s * s)
+    return float(out) if out.ndim == 0 else out
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
@@ -108,9 +121,17 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
 
 @functools.cache
 def _omega_grid():
-    """omega on the 1e-5 grid of [0, 1/2); each grid of [0, b_hi) is a prefix."""
+    """omega on the 1e-5 grid of [0, 1/2), with the running maximum of the
+    values and the first index attaining it; each grid of [0, b_hi) is a
+    prefix, so its maximum is one lookup."""
     grid = np.arange(0.0, 0.5, _OMEGA_STEP)
-    return grid, omega(grid)
+    vals = omega(grid)
+    run_max = np.maximum.accumulate(vals)
+    # a strictly larger value starts a new maximum; ties keep the first
+    index = np.arange(len(vals))
+    rises = np.concatenate(([True], vals[1:] > run_max[:-1]))
+    run_arg = np.maximum.accumulate(np.where(rises, index, 0))
+    return grid, vals, run_max, run_arg
 
 
 @functools.lru_cache(maxsize=1024)
@@ -120,37 +141,57 @@ def _refine_cell(lo: float, hi: float):
     return _golden_max(lambda b: float(omega(b)), lo, hi)
 
 
-def _max_omega_on(b_hi: float):
-    """Maximize omega on [0, b_hi]: dense grid plus golden refinement of
-    the winning cell (the peak may be a kink, which golden section handles)."""
-    if b_hi <= 0.0:
-        return float(omega(0.0)), 0.0
-    full_grid, full_vals = _omega_grid()
-    n = len(np.arange(0.0, b_hi, _OMEGA_STEP))
-    grid = np.append(full_grid[:n], b_hi)
-    # the endpoint goes through omega as an array, like the grid it joins
-    vals = np.append(full_vals[:n], omega(grid[-1:]))
-    i = int(np.argmax(vals))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    x, fx = _refine_cell(lo, hi)
-    return max([(fx, x), (float(vals[i]), float(grid[i])),
-                (float(vals[0]), 0.0), (float(vals[-1]), b_hi)])
+def _max_omega_on(b_hi):
+    """Maximize omega on [0, b_hi], lane-wise over an array of b_hi: the
+    1e-5 grid of [0, b_hi) plus the endpoint, then golden refinement of
+    the winning cell (the peak may be a kink, which golden section
+    handles).  Returns (max, argmax), floats for a scalar b_hi."""
+    b_hi = np.asarray(b_hi, dtype=float)
+    full_grid, full_vals, run_max, run_arg = _omega_grid()
+    lanes = b_hi.ravel()
+    empty = lanes <= 0.0
+    # n = len(np.arange(0.0, b_hi, _OMEGA_STEP)), within the full grid
+    n = np.clip(np.ceil(lanes / _OMEGA_STEP), 1, len(full_grid)).astype(int)
+    # the endpoints go through omega as one array, like the grid they join
+    end_vals = omega(np.where(empty, 0.0, lanes))
+    at_end = end_vals > run_max[n - 1]  # argmax takes the first maximum
+    i = np.where(at_end, n, run_arg[n - 1])
+
+    def grid_at(k):  # the grid of [0, b_hi) with b_hi appended, at index k
+        return np.where(k < n, full_grid[np.minimum(k, n - 1)], lanes)
+
+    val_i = np.where(at_end, end_vals, run_max[n - 1])
+    lo, hi = grid_at(np.maximum(i - 1, 0)), grid_at(np.minimum(i + 1, n))
+    val0 = float(full_vals[0])
+    out = []
+    for is_empty, cell_lo, cell_hi, best, best_at, end_val, end in zip(
+            empty.tolist(), lo.tolist(), hi.tolist(), val_i.tolist(),
+            grid_at(i).tolist(), end_vals.tolist(), lanes.tolist()):
+        if is_empty:
+            out.append((float(omega(0.0)), 0.0))
+            continue
+        x, fx = _refine_cell(cell_lo, cell_hi)
+        out.append(max([(fx, x), (best, best_at), (val0, 0.0), (end_val, end)]))
+    if b_hi.ndim == 0:
+        return out[0]
+    value, arg = np.array(out, dtype=float).reshape(-1, 2).T
+    return value.reshape(b_hi.shape), arg.reshape(b_hi.shape)
 
 
-def omega_max(rho: float):
-    """(max, argmax) of omega over [0, 1/2 - eps_star(rho)]."""
+def omega_max(rho):
+    """(max, argmax) of omega over [0, 1/2 - eps_star(rho)], lane-wise."""
     return _max_omega_on(0.5 - eps_star(rho))
 
 
-def t_rho(rho: float) -> float:
+def t_rho(rho):
     """Root in (0, 1) of the stationarity equation of the reduced objective:
-    -(1/2)(1 + rho - 4 rho^2 omega_max) phi'((1-t)/2) = phi((1-rho)/2)."""
+    -(1/2)(1 + rho - 4 rho^2 omega_max) phi'((1-t)/2) = phi((1-rho)/2);
+    lane-wise."""
     om, _ = omega_max(rho)
     return _t_rho_given(rho, om)
 
 
-def _t_rho_given(rho: float, om: float) -> float:
+def _t_rho_given(rho, om):
     a_coef = 1.0 + rho - 4.0 * rho * rho * om
     target = phi_ratio((1.0 - rho) / 2.0)
 
@@ -158,14 +199,17 @@ def _t_rho_given(rho: float, om: float) -> float:
         return -0.5 * a_coef * phi_ratio_prime((1.0 - t) / 2.0) - target
 
     root = bisect_root(fn, 1e-12, 1.0 - 1e-12, tol=1e-12)
-    if abs(fn(root)) >= 1e-9:
-        raise RuntimeError(f"t_rho residual too large at rho={rho}")
+    bad = np.abs(fn(root)) >= 1e-9
+    if np.any(bad):
+        first = np.broadcast_to(rho, bad.shape).flat[np.flatnonzero(bad)[0]]
+        raise RuntimeError(f"t_rho residual too large at rho={float(first)}")
     return root
 
 
 @dataclass(frozen=True)
 class PointEval:
-    """All per-rho quantities entering one certificate grid entry."""
+    """All per-rho quantities entering one certificate grid entry (arrays
+    of them, one lane per entry, from a lane-wise evaluation)."""
 
     rho: float
     eps_star: float
@@ -175,11 +219,13 @@ class PointEval:
     theta: float
 
 
-def evaluate_point(rho: float) -> PointEval:
-    """Evaluate eps_star, omega_max, t_rho and theta at one correlation.
-    Only rho-independent omega values (the fixed grid and its refined
-    cells) are cached across rho, so each entry is independently
-    reproducible."""
+def evaluate_point(rho) -> PointEval:
+    """Evaluate eps_star, omega_max, t_rho and theta at one correlation, or
+    lane-wise at an array of them (then every field is an array).  Each
+    lane's arithmetic is that of the one-lane call, and only
+    rho-independent omega values (the fixed grid, its running maximum and
+    the refined cells) are shared across rho, so each entry is
+    independently reproducible."""
     es = eps_star(rho)
     om, arg = _max_omega_on(0.5 - es)
     tr = _t_rho_given(rho, om)
@@ -340,8 +386,9 @@ def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
     anything and forces a failed certificate; so does a grid secant slope
     above `lipschitz_m`, which would falsify the assumed constant.  Any
     evaluation error also fails closed.  Non-finite or nonpositive
-    constants raise ValueError.  The grid is evaluated in order, in this
-    process; `threads` is accepted for compatibility and has no effect.
+    constants raise ValueError.  The grid is evaluated in one lane-wise
+    `evaluate_point` call, in this process; `threads` is accepted for
+    compatibility and has no effect.
     """
     if not all(map(math.isfinite, (rho_lo, rho_hi, delta, lipschitz_m))):
         raise ValueError("rho_lo, rho_hi, delta and lipschitz_m must be finite")
@@ -357,8 +404,9 @@ def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
     failure = None
     rows = []
     try:
-        rows = [(pt.rho, pt.theta, pt.t_rho, pt.eps_star, pt.omega_max)
-                for pt in map(evaluate_point, points)]
+        pt = evaluate_point(np.array(points))
+        rows = list(zip(*(a.tolist() for a in (
+            pt.rho, pt.theta, pt.t_rho, pt.eps_star, pt.omega_max))))
     except (BracketError, RuntimeError, ValueError) as exc:
         failure = f"grid evaluation failed: {exc}"
 

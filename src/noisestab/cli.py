@@ -8,9 +8,10 @@ That covers an argument argparse rejects, an invalid or non-finite option
 value, an output path that cannot be written, and an input outside a
 routine's numeric domain: eps_star(rho), which eps-star, bounds-table,
 plot and the localopt check evaluate, resolves its root only for rho
-above about 7e-4.  Output is text, JSON, or CSV; JSON writes null for a
-non-finite value, CSV always uses '.' as the decimal separator and every
-output file ends with a newline.
+above about 7e-4.  A plot --rho-step that would write more than
+PLOT_MAX_ROWS rows is a usage error too.  Output is text, JSON, or CSV;
+JSON writes null for a non-finite value, CSV always uses '.' as the
+decimal separator and every output file ends with a newline.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import bounds, certify, sweeps
 
 EXIT_OK = 0
@@ -27,6 +30,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 DEFAULT_BRUTE_RHOS = tuple(round(0.1 * k, 1) for k in range(1, 10))
+#: Most rows `plot` writes: one eps_star lane each, all in memory at once.
+PLOT_MAX_ROWS = 100_000
 
 
 def _write(text: str, out: str | None) -> None:
@@ -232,12 +237,15 @@ def cmd_brute(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if not 0.0 < args.rho_step < 1.0:  # the loop below is the CLI's own
+    step = args.rho_step
+    if not 0.0 < step < 1.0:  # the grid below is the CLI's own
         raise ValueError("--rho-step must lie in (0, 1)")
-    rows, k = [], 1
-    while (rho := k * args.rho_step) < 1.0 - 1e-12:
-        rows.append((rho, bounds.eps_star(rho)))
-        k += 1
+    if (1.0 - 1e-12) / step > PLOT_MAX_ROWS:
+        raise ValueError(f"--rho-step {step!r} would write more than "
+                         f"{PLOT_MAX_ROWS} rows")
+    rho = np.arange(1, math.floor((1.0 - 1e-12) / step) + 2) * step
+    rho = rho[rho < 1.0 - 1e-12]
+    rows = zip(rho.tolist(), bounds.eps_star(rho).tolist())
     _write(_csv(["rho", "eps_star"], rows), args.out)
     return EXIT_OK
 

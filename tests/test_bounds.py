@@ -317,6 +317,8 @@ def test_bounds_reject_inputs_outside_their_domain(call):
 def test_gamma_q_at_rho_one_with_tiny_q():
     # p = 1 + (q - 1) rho^2 rounds to 0 here; the exact p is q
     assert ns.gamma_q(0.1, 1.0, 1e-300) == 0.5
+    # ... and to 2^-53 = 1.1e-16 here, which moved the value to 0.5176
+    assert ns.gamma_q(0.1, 1.0, 1e-16) == 0.5
 
 
 def test_integrate_unit_fails_closed_on_error_budget():
@@ -404,6 +406,38 @@ def test_eps_star_fails_closed_below_resolution(rho):
     with pytest.raises(RuntimeError,
                        match=re.escape(f"rho={rho}") + ".*above about 7e-4"):
         ns.eps_star(rho)
+
+
+def test_eps_star_array_fails_closed_naming_first_unresolved_rho():
+    # 0.5 resolves; 1e-5 and 1e-4 do not, and the first of them is named
+    with pytest.raises(RuntimeError, match=re.escape("rho=1e-05") + ".*7e-4"):
+        ns.eps_star(np.array([0.5, 1e-5, 1e-4]))
+    with pytest.raises(ValueError, match="eps_star requires rho in"):
+        ns.eps_star(np.array([0.5, 1.0]))
+
+
+def test_bisect_root_errors_and_lanes():
+    from noisestab.bounds import BracketError, bisect_root
+    with pytest.raises(BracketError) as exc:
+        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    assert str(exc.value) == "no sign change on [-1.0, 1.0]: f=2.0, 2.0"
+    # lanes: the first lane without a sign change is named, as floats
+    with pytest.raises(BracketError) as exc:
+        bisect_root(lambda x: x - np.array([0.5, 2.0, 3.0]), 0.0, 1.0)
+    assert str(exc.value) == "no sign change on [0.0, 1.0]: f=-2.0, -1.0"
+    # each lane stops on its own: exact zeros at either end and mid-way,
+    # and the tolerance
+    roots = np.array([0.0, 1.0, 0.5, 0.3])
+    got = bisect_root(lambda x: x - roots, 0.0, 1.0, tol=1e-12)
+    assert got[:3].tolist() == [0.0, 1.0, 0.5]
+    assert abs(got[3] - 0.3) <= 1e-12
+    one_lane = [bisect_root(lambda x, r=r: x - r, 0.0, 1.0, tol=1e-12)
+                for r in roots.tolist()]
+    assert got.tolist() == one_lane
+    # one step halves [0.3 - 1e-13, 0.3 + 3e-13] before the width is checked
+    narrow = bisect_root(lambda x: x - 0.3, 0.3 - 1e-13, 0.3 + 3e-13)
+    assert abs(narrow - 0.3) < 5e-14
+    assert isinstance(bisect_root(lambda x: x - 0.3, 0.0, 1.0), float)
 
 
 def test_eps_star_lower_bound_on_certified_interval():

@@ -108,6 +108,36 @@ def test_max_omega_on_matches_fresh_grid_oracle():
         assert _max_omega_on(b) == _max_omega_fresh(b), b
     # endpoint maximum off the certified interval: no hard-coded kink peak
     assert _max_omega_on(0.41)[1] == 0.41
+    # all of them at once, one lane each
+    values, args = _max_omega_on(np.array(bs))
+    assert list(zip(values.tolist(), args.tolist())) == [_max_omega_fresh(b) for b in bs]
+
+
+def test_lanes_are_independent():
+    # seeded rhos over the certified interval and over (0.96, 0.999),
+    # where omega's maximum is the endpoint of its range again
+    rng = np.random.default_rng(7)
+    rhos = np.concatenate([rng.uniform(0.46, 0.914, 160), [0.46, 0.914],
+                           rng.uniform(0.96, 0.999, 40)])
+    fields = ("rho", "eps_star", "omega_max", "omega_argmax", "t_rho", "theta")
+    lanes = evaluate_point(rhos)
+    one_lane = [evaluate_point(float(r)) for r in rhos]
+    for name in fields:
+        assert getattr(lanes, name).tolist() == [getattr(p, name) for p in one_lane], name
+    assert any(p.omega_argmax == 0.5 - p.eps_star for p in one_lane)  # endpoint wins
+    assert any(p.omega_argmax < 0.5 - p.eps_star for p in one_lane)   # kink wins
+    assert all(isinstance(getattr(one_lane[0], name), float) for name in fields)
+    # each stage on its own over all lanes, against the one-lane values ...
+    value, arg = ns.omega_max(rhos)
+    assert ns.eps_star(rhos).tolist() == [p.eps_star for p in one_lane]
+    assert value.tolist() == [p.omega_max for p in one_lane]
+    assert arg.tolist() == [p.omega_argmax for p in one_lane]
+    assert ns.t_rho(rhos).tolist() == [p.t_rho for p in one_lane]
+    # ... which its own one-lane calls give too (every fourth rho)
+    for r, p in list(zip(rhos.tolist(), one_lane))[::4]:
+        assert ns.eps_star(r) == p.eps_star
+        assert ns.omega_max(r) == (p.omega_max, p.omega_argmax)
+        assert ns.t_rho(r) == p.t_rho
 
 
 def test_omega_max_against_dense_grid_oracle():
@@ -346,6 +376,20 @@ def test_verify_fails_closed_on_evaluation_error(monkeypatch):
     assert not cert.passed
     assert "synthetic evaluation failure" in (cert.failure_reason or "")
     assert cert.worst_theta == math.inf
+
+
+def test_verify_failure_reason_names_first_failing_point():
+    # every grid point is below eps_star's resolution; the first is named
+    cert = ns.verify_interval(1e-4, 2e-4)
+    assert not cert.passed
+    assert cert.failure_reason == (
+        "grid evaluation failed: eps_star cannot resolve its root at "
+        "rho=0.0001: the root equation is O(rho^2), and double precision "
+        "resolves it only for rho above about 7e-4")
+    # a grid reaching rho = 1 leaves eps_star's domain
+    cert = ns.verify_interval(0.99, 1.0)
+    assert not cert.passed
+    assert cert.failure_reason == "grid evaluation failed: eps_star requires rho in (0, 1)"
 
 
 def test_certificate_json_schema():
