@@ -100,13 +100,14 @@ def phi_ratio_prime(s):
     return float(out) if out.ndim == 0 else out
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
+def _golden_max(fn, lo: float, hi: float):
+    """Golden-section maximization of a unimodal function on [lo, hi], to
+    an interval of width 1e-12."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -121,9 +122,9 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
 
 @functools.cache
 def _omega_grid():
-    """omega on the 1e-5 grid of [0, 1/2), with the running maximum of the
-    values and the first index attaining it; each grid of [0, b_hi) is a
-    prefix, so its maximum is one lookup."""
+    """The 1e-5 grid of [0, 1/2), with the running maximum of omega on it
+    and the first index attaining it; each grid of [0, b_hi) is a prefix,
+    so its maximum is one lookup."""
     grid = np.arange(0.0, 0.5, _OMEGA_STEP)
     vals = omega(grid)
     run_max = np.maximum.accumulate(vals)
@@ -131,50 +132,40 @@ def _omega_grid():
     index = np.arange(len(vals))
     rises = np.concatenate(([True], vals[1:] > run_max[:-1]))
     run_arg = np.maximum.accumulate(np.where(rises, index, 0))
-    return grid, vals, run_max, run_arg
-
-
-@functools.lru_cache(maxsize=1024)
-def _refine_cell(lo: float, hi: float):
-    """Golden-section maximum of omega on one grid cell; on the certified
-    interval every rho refines the same cell around the kink peak."""
-    return _golden_max(lambda b: float(omega(b)), lo, hi)
+    return grid, run_max, run_arg
 
 
 def _max_omega_on(b_hi):
-    """Maximize omega on [0, b_hi], lane-wise over an array of b_hi: the
-    1e-5 grid of [0, b_hi) plus the endpoint, then golden refinement of
-    the winning cell (the peak may be a kink, which golden section
-    handles).  Returns (max, argmax), floats for a scalar b_hi."""
+    """Maximize omega on [0, b_hi], lane-wise over an array of b_hi >= 0:
+    the 1e-5 grid of [0, b_hi) plus the endpoint, then golden refinement
+    of the winning cell (the peak may be a kink, which golden section
+    handles), each distinct cell once.  Returns (max, argmax), floats for
+    a scalar b_hi."""
     b_hi = np.asarray(b_hi, dtype=float)
-    full_grid, full_vals, run_max, run_arg = _omega_grid()
+    full_grid, run_max, run_arg = _omega_grid()
     lanes = b_hi.ravel()
-    empty = lanes <= 0.0
     # n = len(np.arange(0.0, b_hi, _OMEGA_STEP)), within the full grid
     n = np.clip(np.ceil(lanes / _OMEGA_STEP), 1, len(full_grid)).astype(int)
     # the endpoints go through omega as one array, like the grid they join
-    end_vals = omega(np.where(empty, 0.0, lanes))
+    end_vals = omega(lanes)
     at_end = end_vals > run_max[n - 1]  # argmax takes the first maximum
     i = np.where(at_end, n, run_arg[n - 1])
 
     def grid_at(k):  # the grid of [0, b_hi) with b_hi appended, at index k
         return np.where(k < n, full_grid[np.minimum(k, n - 1)], lanes)
 
-    val_i = np.where(at_end, end_vals, run_max[n - 1])
-    lo, hi = grid_at(np.maximum(i - 1, 0)), grid_at(np.minimum(i + 1, n))
-    val0 = float(full_vals[0])
-    out = []
-    for is_empty, cell_lo, cell_hi, best, best_at, end_val, end in zip(
-            empty.tolist(), lo.tolist(), hi.tolist(), val_i.tolist(),
-            grid_at(i).tolist(), end_vals.tolist(), lanes.tolist()):
-        if is_empty:
-            out.append((float(omega(0.0)), 0.0))
-            continue
-        x, fx = _refine_cell(cell_lo, cell_hi)
-        out.append(max([(fx, x), (best, best_at), (val0, 0.0), (end_val, end)]))
+    cell = np.stack([grid_at(np.maximum(i - 1, 0)), grid_at(np.minimum(i + 1, n))], 1)
+    cells, which = np.unique(cell, axis=0, return_inverse=True)
+    refined = np.array([_golden_max(omega, lo, hi) for lo, hi in cells.tolist()])
+    arg, value = refined.reshape(-1, 2)[which.ravel()].T
+    # Python's max over (value, arg) pairs, in the order refined cell,
+    # grid winner, endpoint: a later pair wins only when strictly larger
+    for cand, cand_at in ((np.where(at_end, end_vals, run_max[n - 1]), grid_at(i)),
+                          (end_vals, lanes)):
+        take = (cand > value) | ((cand == value) & (cand_at > arg))
+        value, arg = np.where(take, cand, value), np.where(take, cand_at, arg)
     if b_hi.ndim == 0:
-        return out[0]
-    value, arg = np.array(out, dtype=float).reshape(-1, 2).T
+        return float(value[0]), float(arg[0])
     return value.reshape(b_hi.shape), arg.reshape(b_hi.shape)
 
 
@@ -261,8 +252,7 @@ def upsilon_bar(rho: float) -> float:
         return coef * phi_ratio((1.0 - t) / 2.0) / (1.0 + t - rho * rho)
 
     ts = np.linspace(0.0, 1.0 - 1e-9, 20001)
-    s = (1.0 - ts) / 2.0
-    vals = coef * (h(s) / s) / (1.0 + ts - rho * rho)
+    vals = objective(ts)
     i = int(np.argmax(vals))
     lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, len(ts) - 1)])
     _, best = _golden_max(objective, lo, hi)
@@ -364,12 +354,19 @@ class Certificate:
     failure_reason: str | None = None
 
 
+#: Most points rho_lo + k*step a grid may have (176x the default grid).
+MAX_GRID_POINTS = 1_000_000
+
+
 def _grid(rho_lo: float, rho_hi: float, step: float):
     """Inclusive grid rho_lo + k*step, with rho_hi appended if off-grid."""
     if rho_hi < rho_lo:
         raise ValueError("rho_hi must not be below rho_lo")
-    n_steps = int(math.floor((rho_hi - rho_lo) / step + 1e-9)) if rho_hi > rho_lo else 0
-    points = [rho_lo + k * step for k in range(n_steps + 1)]
+    n_steps = (rho_hi - rho_lo) / step + 1e-9 if rho_hi > rho_lo else 0.0
+    if n_steps >= MAX_GRID_POINTS:  # counted before any point is built
+        raise ValueError(
+            f"the grid rho_lo + k*step would exceed {MAX_GRID_POINTS} points")
+    points = [rho_lo + k * step for k in range(math.floor(n_steps) + 1)]
     if points[-1] < rho_hi - 1e-12:
         points.append(rho_hi)
     return points
@@ -470,7 +467,8 @@ def certificate_to_json(cert: Certificate) -> str:
     lines = [f'  "{k}": {_fmt(v)}' for k, v in fields]
     if cert.failure_reason is not None:
         lines.append(f'  "failure_reason": {_fmt(cert.failure_reason)}')
-    rows = ",\n".join(
-        "    [" + ", ".join(_fmt(v) for v in row) + "]" for row in cert.per_point)
+    # evaluate_point raises before it returns a non-finite entry
+    row = "    [" + ", ".join(["{:.17g}"] * 5) + "]"
+    rows = ",\n".join(row.format(*entry) for entry in cert.per_point)
     lines.append('  "per_point": [\n' + rows + "\n  ]")
     return "{\n" + ",\n".join(lines) + "\n}\n"

@@ -68,9 +68,6 @@ class BooleanFunction:
     def mean(self) -> float:
         return len(self.support) / 2 ** self.n
 
-    def is_balanced(self) -> bool:
-        return 2 * len(self.support) == 2 ** self.n
-
     def values(self) -> np.ndarray:
         v = np.zeros(2 ** self.n)
         if self.support:
@@ -123,10 +120,6 @@ class StepSpectrum:
             raise ValueError("step values must be nonnegative")
         if any(a <= b for a, b in zip(values, values[1:])):
             raise ValueError("step values must be strictly decreasing")
-
-    @property
-    def total_mass(self) -> float:
-        return float(sum(m for m, _ in self.steps))
 
     @property
     def total_integral(self) -> float:

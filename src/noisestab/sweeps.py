@@ -25,6 +25,8 @@ CHECK_NAMES = ("majorization", "gamma", "qstab", "ck")
 GAMMA_PHIS = ("one-sym", "q-asym:2", "q-asym:3")
 Q_UPPER = (1.5, 2.0, 3.0)
 Q_LOWER = (0.5,)
+#: Largest seeded sample run_checks draws (two sample x 2^n float arrays).
+MAX_SAMPLE = 100_000
 
 
 @dataclass(frozen=True)
@@ -218,6 +220,8 @@ def run_checks(n: int, rhos: Sequence[float],
     if sample is not None:
         if sample <= 0:
             raise ValueError("sample must be positive")
+        if sample > MAX_SAMPLE:
+            raise ValueError(f"sample must not exceed {MAX_SAMPLE}")
         if seed is None:
             raise ValueError("sampling requires a seed for reproducibility")
         F = sampled_balanced_supports(n, sample, seed)

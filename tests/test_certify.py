@@ -173,19 +173,19 @@ def test_phi_ratio_shape_properties():
 
 def test_phi_ratio_equal_slope_pairs_sum_above_one():
     # phi' is decreasing then increasing; matching slopes across the dip
-    # always lands at t1 + t2 > 1
+    # always lands at t1 + t2 > 1; one bisection, one lane per t1
     from noisestab.bounds import bisect_root
     t_min = max(np.linspace(0.5, 0.999, 2000), key=lambda t: -ns.phi_ratio_prime(t))
     floor_slope = ns.phi_ratio_prime(t_min)
     top_slope = ns.phi_ratio_prime(1 - 1e-12)
-    for t1 in np.linspace(1e-4, t_min - 1e-4, 10000):
-        target = ns.phi_ratio_prime(t1)
-        if t1 >= t_min or target <= floor_slope or target >= top_slope:
-            continue
-        t2 = bisect_root(lambda t: ns.phi_ratio_prime(t) - target,
-                         t_min, 1 - 1e-12, tol=1e-13)
-        if abs(t2 - t1) > 1e-9:
-            assert t1 + t2 > 1.0, (t1, t2)
+    t1 = np.linspace(1e-4, t_min - 1e-4, 10000)
+    target = ns.phi_ratio_prime(t1)
+    keep = (t1 < t_min) & (target > floor_slope) & (target < top_slope)
+    t1, target = t1[keep], target[keep]
+    t2 = bisect_root(lambda t: ns.phi_ratio_prime(t) - target,
+                     t_min, 1 - 1e-12, tol=1e-13)
+    bad = (np.abs(t2 - t1) > 1e-9) & ~(t1 + t2 > 1.0)
+    assert not bad.any(), list(zip(t1[bad], t2[bad]))
 
 
 def test_t_rho_published_value_and_residual():
@@ -318,6 +318,12 @@ def test_verify_degenerate_interval():
     assert cert.n_points == 1
     assert cert.passed
     assert cert.worst_rho == 0.7
+
+
+def test_verify_rejects_a_grid_it_cannot_hold():
+    # 1e11 points: refused before any of them is built
+    with pytest.raises(ValueError, match="1000000 points"):
+        ns.verify_interval(0.5, 0.6, step=1e-12)
 
 
 def test_verify_endpoint_included_when_off_grid():

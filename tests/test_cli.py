@@ -259,6 +259,10 @@ _MISSING = "<unwritable>"  # replaced by a path under a missing directory
     ["eps-star", "--rho", "-inf"],
     ["frobnicate"],
     [],
+    ["verify", "--step", "1e-12"],
+    ["verify", "--rho-hi", "1e300"],
+    ["brute", "--n", "5", "--rho", "0.5", "--sample", "100000000", "--seed", "1",
+     "--checks", "ck"],
 ])
 def test_numeric_domain_failure_is_one_line_usage_error(argv, tmp_path, capsys):
     missing = str(tmp_path / "no" / "such" / "dir" / "out.txt")

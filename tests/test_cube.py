@@ -479,6 +479,7 @@ def test_sweep_results_independent_of_partitioning():
     (5, [0.5], ["ck"], None, None),
     (2, [0.5], ["ck"], 0, 1),
     (2, [0.5], ["ck"], 10, None),
+    (5, [0.5], ["ck"], sweeps.MAX_SAMPLE + 1, 1),
 ])
 def test_run_checks_rejects_inputs_outside_its_domain(n, rhos, checks, sample, seed):
     with pytest.raises(ValueError):
