@@ -20,6 +20,14 @@ quadrature in beta of Phi at the mixtures of profiles along the rows of the
 noise kernel, `gamma_vec`; `gamma_phi` is its k = 1 case), gamma_q
 (hypercontractive closed form), gamma_one (its q->1 derivative), the
 threshold eps_star(rho), and the Gaussian analogues.
+
+Quadrature is lane-wise.  `ThetaProfile.value` maps an array of beta, and
+`_integrate_unit` is an adaptive 21-point Gauss-Kronrod rule that makes one
+integrand call per round, on the nodes of every live subinterval at once.
+It stops when the summed error estimate |K21 - G10| is within
+max(epsabs, 1e-11 |I|), holds each piece between forced points to
+_QUAD_LIMIT subintervals, and fails closed when the summed estimate exceeds
+_QUAD_ERROR_BUDGET.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr, ndtri, xlogy
 
 from .cube import StepSpectrum, noise_kernel
@@ -224,25 +231,25 @@ def _region_edges(alpha: float, rho: float):
             1.0 - om_alpha ** (1.0 / r2))  # that = shat/rho (E2 right edge)
 
 
-def _classify(alpha: float, beta: float, rho: float, edges) -> int:
-    """Active clause at an interior point, given `_region_edges(alpha, rho)`:
+def _classify(alpha: float, beta, rho: float, edges):
+    """Active clause at each beta lane, given `_region_edges(alpha, rho)`:
     1 the (s,t) exponential, 2 the (shat,that) exponential, 3 the constant
-    alpha, 4 the identity beta.  Ties go to the lowest clause number."""
+    alpha, 4 the identity beta.  Ties go to the lowest clause number, and
+    where both exponential bands hold, beta <= 1 - alpha takes clause 1.
+    A lane no clause covers (nan among them) raises ProfileRegionError."""
     b_rs, b_sr, b_hrs, b_hsr = edges
-    in_e1 = b_sr <= beta <= b_rs
-    in_e2 = b_hrs <= beta <= b_hsr
-    if in_e1 and in_e2:
-        return 1 if beta <= 1.0 - alpha else 2
-    if in_e1:
-        return 1
-    if in_e2:
-        return 2
-    if beta >= b_rs and beta >= b_hsr:
-        return 3
-    if beta <= b_sr and beta <= b_hrs:
-        return 4
-    raise ProfileRegionError(
-        f"no envelope clause covers alpha={alpha}, beta={beta}, rho={rho}")
+    beta = np.asarray(beta, dtype=float)
+    in_e1 = (b_sr <= beta) & (beta <= b_rs)
+    in_e2 = (b_hrs <= beta) & (beta <= b_hsr)
+    clause = np.where(in_e1 & (~in_e2 | (beta <= 1.0 - alpha)), 1,
+             np.where(in_e2, 2,
+             np.where((beta >= b_rs) & (beta >= b_hsr), 3,
+             np.where((beta <= b_sr) & (beta <= b_hrs), 4, 0))))
+    if not clause.all():
+        bad = float(beta.flat[np.flatnonzero(clause == 0)[0]])
+        raise ProfileRegionError(
+            f"no envelope clause covers alpha={alpha}, beta={bad}, rho={rho}")
+    return clause
 
 
 def big_theta(alpha: float, beta: float, rho: float) -> float:
@@ -296,37 +303,37 @@ class ThetaProfile:
     clause_boundaries: tuple
     jump_beta: float | None
 
-    def value(self, beta: float) -> float:
+    def value(self, beta):
+        """theta_alpha(beta), lane-wise over an array of beta; a scalar
+        gives a float."""
+        beta = np.asarray(beta, dtype=float)
         a, r = self.alpha, self.rho
-        if a <= 0.0:
-            return 0.0
-        if a >= 1.0:
-            return 1.0
-        if r * r == 0.0:
-            return a
-        if r == 1.0:
-            return 1.0 if beta <= a else 0.0
-        if beta <= 0.0:
-            return 1.0
-        if beta >= 1.0:
-            return 0.0
-        return self._formula(beta, _classify(a, beta, r, self.edges))
+        if a <= 0.0 or a >= 1.0 or r * r == 0.0:
+            out = np.full(beta.shape, 0.0 if a <= 0.0 else 1.0 if a >= 1.0 else a)
+        elif r == 1.0:
+            out = np.where(beta <= a, 1.0, 0.0)
+        else:
+            clause = _classify(a, beta, r, self.edges)
+            out = np.where(beta <= 0.0, 1.0,
+                           np.where(beta >= 1.0, 0.0, self._formula(beta, clause)))
+        return float(out) if out.ndim == 0 else out
 
-    def _formula(self, beta: float, clause: int) -> float:
-        """The derivative formula of one envelope clause, regardless of region."""
-        rho = self.rho
+    def _formula(self, beta, clause):
+        """The derivative formula of each lane's envelope clause, regardless
+        of region.  Every clause is evaluated on every lane and selected by
+        mask; off its own lanes a clause may meet log1p(-1) = -inf, whose
+        warnings are silenced."""
+        s, sh, rho = self.s, self.s_hat, self.rho
         omr = 1.0 - rho * rho
-        if clause == 1:
-            s, t = self.s, _s_of(beta)
-            return (t - rho * s) / (omr * t) * math.exp(
-                -(s - rho * t) ** 2 / (2.0 * omr))
-        if clause == 2:
-            sh, th = self.s_hat, _s_of_one_minus(beta)
-            return 1.0 - (th - rho * sh) / (omr * th) * math.exp(
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.sqrt(-2.0 * np.log(np.clip(beta, _CLAMP_LO, _CLAMP_HI)))
+            th = np.sqrt(-2.0 * np.log1p(-np.clip(beta, 1.0 - _CLAMP_HI, 1.0 - _CLAMP_LO)))
+            e1 = (t - rho * s) / (omr * t) * np.exp(-(s - rho * t) ** 2 / (2.0 * omr))
+            e2 = 1.0 - (th - rho * sh) / (omr * th) * np.exp(
                 -(sh - rho * th) ** 2 / (2.0 * omr))
-        if clause == 3:
-            return 0.0
-        return 1.0
+        return np.where(clause == 1, e1,
+               np.where(clause == 2, e2,
+               np.where(clause == 3, 0.0, 1.0)))
 
     __call__ = value
 
@@ -370,7 +377,7 @@ class ThetaProfile:
             probe = max(1e-12, 1e-9 * min(b, 1.0 - b))
             left = _classify(self.alpha, b - probe, self.rho, self.edges)
             right = _classify(self.alpha, b + probe, self.rho, self.edges)
-            gap = abs(self._formula(b, left) - self._formula(b, right))
+            gap = float(abs(self._formula(b, left) - self._formula(b, right)))
             out.append((b, gap))
         return out
 
@@ -398,29 +405,92 @@ def theta_profile(alpha: float, rho: float) -> ThetaProfile:
 # quadrature
 # ---------------------------------------------------------------------------
 
+#: Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK's qk21): the Kronrod
+#: abscissae from 1 down to 0, their weights, and the weights of the
+#: embedded 10-point Gauss rule, whose nodes are every other abscissa.
+_GK21_X = (0.995657163025808080735527280689003,
+           0.973906528517171720077964012084452,
+           0.930157491355708226001207180059508,
+           0.865063366688984510732096688423493,
+           0.780817726586416897063717578345042,
+           0.679409568299024406234327365114874,
+           0.562757134668604683339000099272694,
+           0.433395394129247190799265943165784,
+           0.294392862701460198131126603103866,
+           0.148874338981631210884826001129720,
+           0.0)
+_GK21_WK = (0.011694638867371874278064396062192,
+            0.032558162307964727478818972459390,
+            0.054755896574351996031381300244580,
+            0.075039674810919952767043140916190,
+            0.093125454583697605535065465083366,
+            0.109387158802297641899210590325805,
+            0.123491976262065851077958109831074,
+            0.134709217311473325928054001771707,
+            0.142775938577060080797094273138717,
+            0.147739104901338491374841515972068,
+            0.149445554002916905664936468389821)
+_GK21_WG = (0.0, 0.066671344308688137593568809893332,
+            0.0, 0.149451349150580593145776339657697,
+            0.0, 0.219086362515982043995534934228163,
+            0.0, 0.269266719309996355091226921569469,
+            0.0, 0.295524224714752870173892994651338,
+            0.0)
+#: The 21 nodes in increasing order, and a (21, 2) matrix whose columns
+#: are the Kronrod and the Gauss weights at them.
+_GK_NODES = np.concatenate([np.negative(_GK21_X[:-1]), _GK21_X[::-1]])
+_GK_WEIGHTS = np.array([w[:-1] + w[::-1] for w in (_GK21_WK, _GK21_WG)]).T
 _QUAD_LIMIT = 200
 _QUAD_ERROR_BUDGET = 1e-10
 
 
-def _integrate_unit(fn: Callable[[float], float], inner_points,
-                    epsabs: float = 1e-12) -> float:
-    """Adaptive quadrature over [0,1] with forced subdivision points; raises
-    RuntimeError when quad's error estimates, summed over the pieces,
-    exceed the budget (its warnings alone are not errors: some flag a
-    benign piece a few ulps wide)."""
-    edges = [0.0] + sorted(p for p in set(inner_points) if 0.0 < p < 1.0) + [1.0]
-    total = error = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 0.0:
-            continue
-        val, err, *_ = quad(fn, lo, hi, epsabs=epsabs, epsrel=1e-11,
-                            limit=_QUAD_LIMIT, full_output=1)
-        total += val
-        error += err
+def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
+    """Adaptive Gauss-Kronrod quadrature over [0, 1], split first into
+    pieces at the forced points.  fn is lane-wise (an array of beta to an
+    array of values): each round makes one call of it on the 21 nodes of
+    every live subinterval of every piece.
+
+    A subinterval's error estimate is |K21 - G10|.  The rule stops once the
+    summed estimate of the accepted and live subintervals is at most
+    max(epsabs, 1e-11 |I|).  Until then a live subinterval whose estimate is
+    within its width share of the tolerance the accepted ones leave is
+    accepted, and every other one is halved.  The global stop is what ends
+    a piece whose error shrinks only like its width (a jump or kink at a
+    clause edge), where the share test alone would halve forever.  A piece
+    holds at most _QUAD_LIMIT subintervals: when its halvings would pass
+    that, it accepts its live subintervals as they are.  Raises
+    RuntimeError when the summed estimate exceeds _QUAD_ERROR_BUDGET.
+    """
+    edges = np.array([0.0, *sorted(p for p in set(inner_points) if 0.0 < p < 1.0), 1.0])
+    lo, hi = edges[:-1], edges[1:]
+    piece = np.arange(lo.size)
+    size = np.ones(lo.size, dtype=np.int64)  # subintervals of each piece
+    total = error = 0.0  # over the accepted subintervals
+    while lo.size:
+        half = 0.5 * (hi - lo)
+        x = (lo + half)[:, None] + half[:, None] * _GK_NODES
+        fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        kg = half[:, None] * (fx @ _GK_WEIGHTS)
+        value, err = kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
+        left = max(epsabs, 1e-11 * abs(total + value.sum())) - error
+        if err.sum() <= left:
+            total += value.sum()
+            error += err.sum()
+            break
+        split = err > left * (hi - lo) / (hi - lo).sum()
+        grown = size + np.bincount(piece[split], minlength=size.size)
+        fits = grown <= _QUAD_LIMIT
+        split &= fits[piece]
+        size = np.where(fits, grown, size)
+        total += value[~split].sum()
+        error += err[~split].sum()
+        mid = lo[split] + half[split]
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        piece = np.tile(piece[split], 2)
     if not error <= _QUAD_ERROR_BUDGET:
         raise RuntimeError(f"quadrature error estimate {error:.3g} exceeds "
                            f"the budget {_QUAD_ERROR_BUDGET:g}")
-    return total
+    return float(total)
 
 
 def gamma_phi(eps: float, rho: float, phi: PhiSpec) -> float:
@@ -452,7 +522,9 @@ def gamma_vec(eps: Sequence[float], k: int, rho: float, phi: PhiSpec) -> float:
     mask m in [0, 2^k): bit j of m set means the j-th subcube coordinate
     equals +1.  K is the noise kernel on the k-cube: the weight between
     assignments at Hamming distance d is cp^{k-d} cm^d, and each row sums
-    to 1.
+    to 1.  Each quadrature round evaluates every distinct profile once on
+    all of its nodes, and Phi once on the (2^k, nodes) array of row
+    mixtures K @ theta.
     """
     if len(eps) != 2 ** k:
         raise ValueError("eps must have length 2^k")
@@ -468,7 +540,7 @@ def gamma_vec(eps: Sequence[float], k: int, rho: float, phi: PhiSpec) -> float:
     def integrand(beta):
         value = {e: p.value(beta) for e, p in profiles.items()}
         column = np.array([value[e] for e in eps])
-        return float(np.sum(phi((kernel * column).sum(axis=1)))) / 2 ** k
+        return np.sum(phi(kernel @ column), axis=0) / 2 ** k
 
     points = set().union(*(p.clause_boundaries for p in profiles.values()))
     return _integrate_unit(integrand, points)
@@ -625,7 +697,10 @@ def borell_bound(alpha: float, rho: float, phi: PhiSpec) -> float:
     if rho == 0.0:
         return float(phi(alpha))
 
+    a = norm_ppf(alpha)
+    scale = math.sqrt(1.0 - rho * rho)
+
     def integrand(beta):
-        return float(phi(gaussian_theta(alpha, beta, rho)))
+        return phi(ndtr((a - rho * ndtri(beta)) / scale))
 
     return _integrate_unit(integrand, {alpha}, epsabs=1e-11)

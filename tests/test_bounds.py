@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import noisestab as ns
+from noisestab import sweeps
 from noisestab.bounds import ProfileRegionError
 
 PAIRS = [(a, r) for a in (0.25, 0.5, 0.75) for r in (0.3, 0.6, 0.9)]
@@ -167,6 +168,28 @@ def test_profile_classification_total():
         assert 0.0 <= v <= 1.0
 
 
+@pytest.mark.parametrize("alpha, rho", [
+    *PAIRS, (0.02, 0.95), (0.98, 0.1), (0.3, 0.0), (0.3, 1.0), (0.0, 0.6),
+    (1.0, 0.6)])
+def test_profile_value_lanes_equal_one_lane_calls(alpha, rho):
+    prof = ns.theta_profile(alpha, rho)
+    special = {0.0, 1.0, 1.0 - alpha, *prof.edges, *prof.clause_boundaries}
+    near = {float(np.nextafter(b, d)) for b in special for d in (-1.0, 2.0)}
+    betas = np.array(sorted(special | near | set(np.linspace(0.0, 1.0, 101))))
+    lanes = prof.value(betas)
+    one = [prof.value(float(b)) for b in betas]
+    assert all(type(v) is float for v in one)
+    assert lanes.tolist() == one
+
+
+def test_profile_value_rejects_nan_lanes():
+    prof = ns.theta_profile(0.3, 0.6)
+    with pytest.raises(ProfileRegionError):
+        prof.value(math.nan)
+    with pytest.raises(ProfileRegionError):
+        prof.value(np.array([0.2, math.nan]))
+
+
 # ---------------------------------------------------------------------------
 # Gamma by quadrature
 # ---------------------------------------------------------------------------
@@ -178,7 +201,7 @@ def gauss_legendre_gamma(eps, rho, phi, nodes=48, splits=80):
 
     def integrand(t):
         a, b = far.value(t), near.value(t)
-        return 0.5 * (float(phi(cp * a + cm * b)) + float(phi(cm * a + cp * b)))
+        return 0.5 * (phi(cp * a + cm * b) + phi(cm * a + cp * b))
 
     inner = set(far.clause_boundaries) | set(near.clause_boundaries)
     pts = [0.0] + sorted(p for p in inner if 0 < p < 1) + [1.0]
@@ -188,7 +211,7 @@ def gauss_legendre_gamma(eps, rho, phi, nodes=48, splits=80):
         cells = np.linspace(lo, hi, splits + 1)
         for a, b in zip(cells[:-1], cells[1:]):
             mid, half = (a + b) / 2, (b - a) / 2
-            vals = np.array([integrand(t) for t in mid + half * x])
+            vals = integrand(mid + half * x)
             total += half * float(w @ vals)
     return total
 
@@ -216,6 +239,26 @@ def test_gamma_phi_pinned_by_dual_quadrature():
     assert adaptive == pytest.approx(-0.43134705716197413, abs=1e-8)
 
 
+@pytest.mark.parametrize("name", sweeps.GAMMA_PHIS)
+def test_gamma_phi_against_quad_oracle(name):
+    from scipy.integrate import quad
+    phi = sweeps._phi_from_name(name)
+    for eps in (1 / 8, 1 / 4, 1 / 2):
+        for rho in (0.1, 0.9):
+            cp, cm = (1 + rho) / 2, (1 - rho) / 2
+            far, near = ns.theta_profile(1 - eps, rho), ns.theta_profile(eps, rho)
+
+            def integrand(t):
+                a, b = far.value(t), near.value(t)
+                return 0.5 * (float(phi(cp * a + cm * b)) + float(phi(cm * a + cp * b)))
+
+            inner = set(far.clause_boundaries) | set(near.clause_boundaries)
+            pts = [0.0] + sorted(p for p in inner if 0 < p < 1) + [1.0]
+            want = sum(quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                       for lo, hi in zip(pts[:-1], pts[1:]))
+            assert abs(ns.gamma_phi(eps, rho, phi) - want) < 1e-10, (eps, rho)
+
+
 def test_gamma_vec_reductions():
     phi = ns.phi_one_symmetric()
     rho, eps = 0.6, 0.15
@@ -236,7 +279,7 @@ def test_gamma_vec_reductions():
     prof = ns.theta_profile(0.3, rho)
 
     def integrand(b):
-        return float(phi(prof.value(b)))
+        return phi(prof.value(b))
 
     from noisestab.bounds import _integrate_unit
     want = _integrate_unit(integrand, prof.clause_boundaries)
@@ -324,12 +367,46 @@ def test_gamma_q_at_rho_one_with_tiny_q():
 def test_integrate_unit_fails_closed_on_error_budget():
     from noisestab.bounds import _integrate_unit
     with pytest.raises(RuntimeError, match="quadrature error estimate"):
-        _integrate_unit(lambda b: math.sin(1e6 * b), ())
+        _integrate_unit(lambda b: np.sin(1e6 * b), ())
     # quad warns on this input, but its summed error estimate is ~1e-12
     value = ns.gamma_vec([0.7379477282289412, 0.6532688191705419,
                           0.21634668086073783, 0.9283431848141308],
                          2, 0.08233946916118962, ns.phi_q_asymmetric(2))
     assert value == pytest.approx(-0.22990222556986917, abs=1e-12)
+
+
+def test_gauss_kronrod_rule_degrees():
+    # the 21-point Kronrod rule is exact to degree 31, its 10-point Gauss
+    # rule to degree 19
+    from noisestab.bounds import _GK_NODES, _GK_WEIGHTS
+    for d in range(32):
+        want = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        kronrod, gauss = _GK_NODES ** d @ _GK_WEIGHTS
+        assert abs(kronrod - want) < 1e-15, d
+        assert d >= 20 or abs(gauss - want) < 1e-15, d
+
+
+@pytest.mark.parametrize("fn, points, want", [
+    (lambda b: b * np.log(b), (), -0.25),
+    (np.sqrt, (), 2.0 / 3.0),
+    (lambda b: np.where(b < 0.3, 2.0, 0.5), (0.3,), 0.95),
+])
+def test_integrate_unit_closed_forms(fn, points, want):
+    from noisestab.bounds import _integrate_unit
+    assert abs(_integrate_unit(fn, points) - want) < 1e-12
+
+
+def test_integrate_unit_caps_each_piece():
+    from noisestab.bounds import _integrate_unit
+    sizes = []
+
+    def fn(b):
+        sizes.append(b.size)
+        return np.sin(1e6 * b)
+
+    with pytest.raises(RuntimeError, match="quadrature error estimate"):
+        _integrate_unit(fn, ())
+    assert 0 < max(sizes) <= 200 * 21
 
 
 def test_gamma_q_pinned_extended_precision():

@@ -357,5 +357,14 @@ def test_module_invocation():
     assert doc["eps_star"] == pytest.approx(ns.eps_star(0.5), abs=1e-12)
 
 
+def test_cli_import_leaves_out_scipy_integrate():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, noisestab.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_usage_error_on_unknown_command():
     assert main(["frobnicate"]) == 2
