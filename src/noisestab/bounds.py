@@ -25,8 +25,10 @@ Quadrature is lane-wise.  `ThetaProfile.value` maps an array of beta, and
 `_integrate_unit` is an adaptive 21-point Gauss-Kronrod rule that makes one
 integrand call per round, on the nodes of every live subinterval at once.
 It stops when the summed error estimate |K21 - G10| is within
-max(epsabs, 1e-11 |I|), holds each piece between forced points to
-_QUAD_LIMIT subintervals, and fails closed when the summed estimate exceeds
+max(epsabs, 1e-11 |I|), and splits each subinterval it refines into
+_QUAD_SPLIT equal parts, so a round adds _QUAD_SPLIT - 1 subintervals per
+split.  Each piece between forced points holds at most _QUAD_LIMIT
+subintervals, and the rule fails closed when the summed estimate exceeds
 _QUAD_ERROR_BUDGET.
 """
 
@@ -442,6 +444,9 @@ _GK_NODES = np.concatenate([np.negative(_GK21_X[:-1]), _GK21_X[::-1]])
 _GK_WEIGHTS = np.array([w[:-1] + w[::-1] for w in (_GK21_WK, _GK21_WG)]).T
 _QUAD_LIMIT = 200
 _QUAD_ERROR_BUDGET = 1e-10
+#: Equal parts of each refined subinterval: wider rounds mean fewer of them,
+#: and rounds, not nodes, are what a Gamma quadrature pays for.
+_QUAD_SPLIT = 8
 
 
 def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
@@ -454,12 +459,13 @@ def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
     summed estimate of the accepted and live subintervals is at most
     max(epsabs, 1e-11 |I|).  Until then a live subinterval whose estimate is
     within its width share of the tolerance the accepted ones leave is
-    accepted, and every other one is halved.  The global stop is what ends
-    a piece whose error shrinks only like its width (a jump or kink at a
-    clause edge), where the share test alone would halve forever.  A piece
-    holds at most _QUAD_LIMIT subintervals: when its halvings would pass
-    that, it accepts its live subintervals as they are.  Raises
-    RuntimeError when the summed estimate exceeds _QUAD_ERROR_BUDGET.
+    accepted, and every other one is split into _QUAD_SPLIT equal parts.
+    The global stop is what ends a piece whose error shrinks only like its
+    width (a jump or kink at a clause edge), where the share test alone
+    would split forever.  A piece holds at most _QUAD_LIMIT subintervals,
+    and each split adds _QUAD_SPLIT - 1 to its count: when a round's splits
+    would pass that, the piece accepts its live subintervals as they are.
+    Raises RuntimeError when the summed estimate exceeds _QUAD_ERROR_BUDGET.
     """
     edges = np.array([0.0, *sorted(p for p in set(inner_points) if 0.0 < p < 1.0), 1.0])
     lo, hi = edges[:-1], edges[1:]
@@ -478,15 +484,15 @@ def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
             error += err.sum()
             break
         split = err > left * (hi - lo) / (hi - lo).sum()
-        grown = size + np.bincount(piece[split], minlength=size.size)
+        grown = size + (_QUAD_SPLIT - 1) * np.bincount(piece[split], minlength=size.size)
         fits = grown <= _QUAD_LIMIT
         split &= fits[piece]
         size = np.where(fits, grown, size)
         total += value[~split].sum()
         error += err[~split].sum()
-        mid = lo[split] + half[split]
-        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        piece = np.tile(piece[split], 2)
+        cuts = np.linspace(lo[split], hi[split], _QUAD_SPLIT + 1, axis=1)
+        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        piece = np.repeat(piece[split], _QUAD_SPLIT)
     if not error <= _QUAD_ERROR_BUDGET:
         raise RuntimeError(f"quadrature error estimate {error:.3g} exceeds "
                            f"the budget {_QUAD_ERROR_BUDGET:g}")

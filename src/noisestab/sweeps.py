@@ -98,14 +98,20 @@ def _phi_from_name(name: str) -> bounds.PhiSpec:
     return bounds.PHI_BY_NAME[name]()
 
 
-def _coordinate_bounds(F: np.ndarray, n: int, bound) -> np.ndarray:
-    """bound(d~_i(f)) for every row f of F and coordinate i, with one call
-    of `bound` per distinct distance (in increasing order)."""
+def _dictator_keys(F: np.ndarray, n: int) -> np.ndarray:
+    """The distances d~_i(f) as integers round(2^n d~_i(f)) in 0..2^{n-1}."""
+    return np.round(dictator_distances(F, n) * 2 ** n).astype(np.int64)
+
+
+def _coordinate_bounds(keys: np.ndarray, n: int, bound) -> np.ndarray:
+    """bound(d~_i(f)) for every row f and coordinate i, given their
+    `_dictator_keys`, with one call of `bound` per distinct key (in
+    increasing order), read back through a table indexed by key."""
     N = 2 ** n
-    keys = np.round(dictator_distances(F, n) * N).astype(np.int64)
-    unique = np.unique(keys)
-    values = np.array([bound(k / N) for k in unique.tolist()])
-    return values[np.searchsorted(unique, keys)]
+    present = np.flatnonzero(np.bincount(keys.ravel(), minlength=N // 2 + 1))
+    table = np.full(N // 2 + 1, np.nan)
+    table[present] = [bound(k / N) for k in present.tolist()]
+    return table[keys]
 
 
 def envelope_check(n: int, rho: float, F: np.ndarray,
@@ -136,11 +142,12 @@ def gamma_bound_check(n: int, rho: float, F: np.ndarray,
                       tol: float = 1e-7) -> CheckResult:
     """Stability under each convex test never exceeds min_i Gamma(d~_i)."""
     T = noised(F, n, rho)
+    keys = _dictator_keys(F, n)
     worst = -math.inf
     for name in GAMMA_PHIS:
         phi = _phi_from_name(name)
         gmin = _coordinate_bounds(
-            F, n, lambda e: bounds.gamma_phi(e, rho, phi)).min(axis=1)
+            keys, n, lambda e: bounds.gamma_phi(e, rho, phi)).min(axis=1)
         stab = np.asarray(phi.fn(T)).mean(axis=1)
         worst = max(worst, float((stab - gmin).max()))
     return CheckResult("gamma", n, rho, F.shape[0], worst, tol, worst <= tol)
@@ -152,15 +159,16 @@ def q_bound_check(n: int, rho: float, F: np.ndarray,
     for q > 1 at every coordinate (hence at the min), lower bound for
     0 < q < 1 (hence at the max)."""
     T = noised(F, n, rho)
+    keys = _dictator_keys(F, n)
     worst = -math.inf
     for q in Q_UPPER:
         bound = _coordinate_bounds(
-            F, n, lambda e: bounds.gamma_q(e, rho, q)).min(axis=1)
+            keys, n, lambda e: bounds.gamma_q(e, rho, q)).min(axis=1)
         moment = (T ** q).mean(axis=1)
         worst = max(worst, float((moment - bound).max()))
     for q in Q_LOWER:
         bound = _coordinate_bounds(
-            F, n, lambda e: bounds.gamma_q(e, rho, q)).max(axis=1)
+            keys, n, lambda e: bounds.gamma_q(e, rho, q)).max(axis=1)
         moment = (T ** q).mean(axis=1)
         worst = max(worst, float((bound - moment).max()))
     return CheckResult("qstab", n, rho, F.shape[0], worst, tol, worst <= tol)

@@ -259,6 +259,44 @@ def test_gamma_phi_against_quad_oracle(name):
             assert abs(ns.gamma_phi(eps, rho, phi) - want) < 1e-10, (eps, rho)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("name", sweeps.GAMMA_PHIS)
+def test_gamma_phi_against_tight_quad_where_rounds_are_most(name):
+    # the inputs that take the adaptive rule the most rounds, against
+    # QUADPACK run per piece far below the rule's own tolerance (where it
+    # warns of roundoff, not of a failed integral)
+    from scipy.integrate import quad
+    phi = sweeps._phi_from_name(name)
+    for eps in (1 / 32, 5 / 16, 1 / 2):
+        for rho in (0.1, 0.5):
+            cp, cm = (1 + rho) / 2, (1 - rho) / 2
+            far, near = ns.theta_profile(1 - eps, rho), ns.theta_profile(eps, rho)
+
+            def integrand(t):
+                a, b = far.value(t), near.value(t)
+                return 0.5 * (float(phi(cp * a + cm * b)) + float(phi(cm * a + cp * b)))
+
+            inner = set(far.clause_boundaries) | set(near.clause_boundaries)
+            pts = [0.0] + sorted(p for p in inner if 0 < p < 1) + [1.0]
+            want = sum(quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+                       for lo, hi in zip(pts[:-1], pts[1:]))
+            assert abs(ns.gamma_phi(eps, rho, phi) - want) < 1e-10, (eps, rho)
+
+
+def test_gamma_phi_rounds_guard(monkeypatch):
+    # each round is one integrand call; splitting a refined subinterval
+    # into _QUAD_SPLIT parts keeps the hardest Gamma input to a few rounds
+    from noisestab import bounds
+    real, rounds = bounds._integrate_unit, []
+
+    def counting(fn, points, **kw):
+        return real(lambda b: rounds.append(b.size) or fn(b), points, **kw)
+
+    monkeypatch.setattr(bounds, "_integrate_unit", counting)
+    ns.gamma_phi(0.5, 0.1, ns.phi_one_symmetric())
+    assert 0 < len(rounds) <= 8
+
+
 def test_gamma_vec_reductions():
     phi = ns.phi_one_symmetric()
     rho, eps = 0.6, 0.15

@@ -468,6 +468,36 @@ def test_sweep_results_independent_of_partitioning():
     assert chunked_q == whole_q
 
 
+@pytest.mark.parametrize("n, rho, F", [
+    (3, 0.4, sweeps.balanced_supports(3)),
+    (5, 0.7, sweeps.sampled_balanced_supports(5, 200, seed=3)),
+])
+def test_checks_make_one_bound_call_per_distinct_key(monkeypatch, n, rho, F):
+    # the call counts a traced brute pass is gated on: one Gamma or gamma_q
+    # call per distinct dictator-distance key and Phi (or q), eps increasing
+    # within each, and one big_theta call per beta grid point
+    N = 2 ** n
+    want = np.unique(np.round(sweeps.dictator_distances(F, n) * N)) / N
+    calls = {name: [] for name in ("gamma_phi", "gamma_q", "big_theta")}
+    for name, record in calls.items():
+        real = getattr(sweeps.bounds, name)
+        monkeypatch.setattr(sweeps.bounds, name,
+                            lambda *a, real=real, record=record:
+                            record.append(a) or real(*a))
+    sweeps.gamma_bound_check(n, rho, F)
+    sweeps.q_bound_check(n, rho, F)
+    sweeps.envelope_check(n, rho, F)
+    for name, per_key in (("gamma_phi", len(sweeps.GAMMA_PHIS)),
+                          ("gamma_q", len(sweeps.Q_UPPER) + len(sweeps.Q_LOWER))):
+        args = calls[name]
+        assert len(args) == want.size * per_key, name
+        assert all(a[1] == rho for a in args)
+        for j in range(per_key):
+            eps = [a[0] for a in args[j * want.size:(j + 1) * want.size]]
+            assert eps == want.tolist(), (name, j)
+    assert len(calls["big_theta"]) == 64
+
+
 @pytest.mark.parametrize("n, rhos, checks, sample, seed", [
     (2, [1.5], ["ck"], None, None),
     (2, [math.nan], ["ck"], None, None),
