@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 import noisestab as ns
 from noisestab import sweeps
@@ -70,6 +71,34 @@ def test_noise_preserves_mean_all_functions():
         for rho in RHO_GRID:
             T = sweeps.noised(F, n, rho)
             assert np.max(np.abs(T.mean(axis=1) - means)) < 1e-14
+
+
+def _supports_up_to_n5():
+    rng = np.random.default_rng(5)
+    yield from ((n, sweeps.all_supports(n)) for n in range(1, 5))
+    yield 5, rng.integers(0, 2, size=(2000, 32)).astype(float)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_noised_matches_kernel_matmul(rho):
+    # the code table gathered by code against the kernel matmul it replaces
+    for n, F in _supports_up_to_n5():
+        T = sweeps.noised(F, n, rho)
+        assert np.max(np.abs(T - F @ ns.cube.noise_kernel(n, rho))) <= 1e-15
+        if rho == 1.0:
+            assert np.array_equal(T, F)
+        if rho == 0.0:
+            assert np.array_equal(T, np.broadcast_to(F.mean(axis=1)[:, None], T.shape))
+
+
+def test_codes_decode_to_distance_counts():
+    for n in range(1, 4):
+        F = sweeps.all_supports(n)
+        H = ns.cube._hamming_matrix(n)
+        decoded = sweeps._code_basis(n)[1][sweeps._codes(F, n)]
+        for x in range(2 ** n):
+            want = np.stack([F[:, H[x] == d].sum(axis=1) for d in range(n + 1)], axis=1)
+            assert np.array_equal(decoded[:, x], want)
 
 
 def test_noise_rejects_bad_rho():
@@ -466,6 +495,48 @@ def test_sweep_results_independent_of_partitioning():
     whole_q = sweeps.q_bound_check(4, rho, F).max_violation
     chunked_q = max(sweeps.q_bound_check(4, rho, c).max_violation for c in chunks)
     assert chunked_q == whole_q
+
+
+def test_phi_checks_independent_of_partitioning():
+    F = sweeps.balanced_supports(4)
+    chunks = np.array_split(F, 3)
+    for rho in (0.55, 0.85):
+        for check in (sweeps.gamma_bound_check, sweeps.ck_check,
+                      sweeps.local_optimality_check):
+            whole = check(4, rho, F)
+            parts = [check(4, rho, c) for c in chunks]
+            assert max(p.max_violation for p in parts) == whole.max_violation
+            assert sum(p.tested for p in parts) == whole.tested
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9])
+def test_phi_on_code_table_equals_phi_on_noised(rho):
+    # every Phi check reads Phi(T) as Phi on the code table gathered by
+    # code; it must equal Phi on the T that `noised` returns bit for bit
+    n = 4
+    F = sweeps.balanced_supports(n)
+    T = sweeps.noised(F, n, rho)
+    codes, values = sweeps._codes(F, n), sweeps._code_values(n, rho)
+    fns = [ns.bounds.h, lambda t: xlogy(t, t)]
+    fns += [lambda t, q=q: t ** q for q in sweeps.Q_UPPER + sweeps.Q_LOWER]
+    fns += [sweeps._phi_from_name(name).fn for name in sweeps.GAMMA_PHIS]
+    for fn in fns:
+        assert np.array_equal(np.asarray(fn(values))[codes], np.asarray(fn(T)))
+        assert np.array_equal(sweeps._phi_means(codes, values, fn),
+                              np.asarray(fn(T)).mean(axis=1))
+
+
+@pytest.mark.parametrize("bad", [0.5, math.nan, 2.0])
+@pytest.mark.parametrize("check", [
+    lambda n, rho, F: sweeps.noised(F, n, rho), sweeps.envelope_check,
+    sweeps.gamma_bound_check, sweeps.q_bound_check, sweeps.ck_check,
+    sweeps.local_optimality_check,
+])
+def test_codes_reject_entries_outside_zero_one(check, bad):
+    F = sweeps.balanced_supports(3)
+    F[5, 2] = bad
+    with pytest.raises(ValueError, match="0/1"):
+        check(3, 0.5, F)
 
 
 @pytest.mark.parametrize("n, rho, F", [
