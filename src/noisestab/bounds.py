@@ -21,15 +21,27 @@ noise kernel, `gamma_vec`; `gamma_phi` is its k = 1 case), gamma_q
 (hypercontractive closed form), gamma_one (its q->1 derivative), the
 threshold eps_star(rho), and the Gaussian analogues.
 
-Quadrature is lane-wise.  `ThetaProfile.value` maps an array of beta, and
-`_integrate_unit` is an adaptive 21-point Gauss-Kronrod rule that makes one
-integrand call per round, on the nodes of every live subinterval at once.
-It stops when the summed error estimate |K21 - G10| is within
-max(epsabs, 1e-11 |I|), and splits each subinterval it refines into
-_QUAD_SPLIT equal parts, so a round adds _QUAD_SPLIT - 1 subintervals per
-split.  Each piece between forced points holds at most _QUAD_LIMIT
-subintervals, and the rule fails closed when the summed estimate exceeds
-_QUAD_ERROR_BUDGET.
+Quadrature is lane-wise.  `_integrate_unit` is an adaptive 21-point
+Gauss-Kronrod rule that makes one integrand call per round, on the nodes of
+every live subinterval at once.  It stops when the summed error estimate
+|K21 - G10| is within max(epsabs, 1e-11 |I|), and splits each subinterval
+it refines into _QUAD_SPLIT equal parts, so a round adds _QUAD_SPLIT - 1
+subintervals per split.  Each piece between forced points holds at most
+_QUAD_LIMIT subintervals, and the rule fails closed when the summed
+estimate exceeds _QUAD_ERROR_BUDGET.
+
+The rule works on each piece in a graded variable u in [0, 1], beta =
+a + w u^2 (3 - 2u) on the piece [a, a + w].  A forced point is where a
+profile mixture may reach 0 or 1 linearly, so that Phi bends like x ln x
+there; a uniform split gains only a factor of ~64 per round on such an
+end, while the map's weight 6 w u (1 - u) turns it into ~u^3 ln u, which
+one split clears.  The map changes the variable, not the integral, so the
+stop rule and the budget bound the same error as they would in beta.
+
+One round of a Gamma integrand evaluates all of its distinct profiles at
+once: `_theta` broadcasts the clause data of P profiles as columns against
+the row of nodes, and `ThetaProfile.value` is its one-row case, so each
+lane does the same arithmetic either way.
 """
 
 from __future__ import annotations
@@ -233,12 +245,17 @@ def _region_edges(alpha: float, rho: float):
             1.0 - om_alpha ** (1.0 / r2))  # that = shat/rho (E2 right edge)
 
 
-def _classify(alpha: float, beta, rho: float, edges):
-    """Active clause at each beta lane, given `_region_edges(alpha, rho)`:
+def _classify(alpha, beta, rho: float, edges):
+    """Active clause at each lane, given `_region_edges(alpha, rho)`:
     1 the (s,t) exponential, 2 the (shat,that) exponential, 3 the constant
     alpha, 4 the identity beta.  Ties go to the lowest clause number, and
     where both exponential bands hold, beta <= 1 - alpha takes clause 1.
-    A lane no clause covers (nan among them) raises ProfileRegionError."""
+
+    alpha and the edges may be (P, 1) columns of P profiles against a row
+    of beta; each lane compares its own row's data.  A lane with alpha in
+    (0, 1) that no clause covers (nan among them) raises
+    ProfileRegionError naming that lane's alpha and beta; a flat profile
+    (alpha 0 or 1) has no clauses and is not checked."""
     b_rs, b_sr, b_hrs, b_hsr = edges
     beta = np.asarray(beta, dtype=float)
     in_e1 = (b_sr <= beta) & (beta <= b_rs)
@@ -248,10 +265,52 @@ def _classify(alpha: float, beta, rho: float, edges):
              np.where((beta >= b_rs) & (beta >= b_hsr), 3,
              np.where((beta <= b_sr) & (beta <= b_hrs), 4, 0))))
     if not clause.all():
-        bad = float(beta.flat[np.flatnonzero(clause == 0)[0]])
-        raise ProfileRegionError(
-            f"no envelope clause covers alpha={alpha}, beta={bad}, rho={rho}")
+        uncovered = (clause == 0) & (0.0 < alpha) & (alpha < 1.0)
+        if uncovered.any():
+            k = np.flatnonzero(uncovered)[0]
+            a, b = (float(np.broadcast_to(x, clause.shape).flat[k]) for x in (alpha, beta))
+            raise ProfileRegionError(
+                f"no envelope clause covers alpha={a}, beta={b}, rho={rho}")
     return clause
+
+
+def _clause_formula(s, s_hat, rho: float, beta, clause):
+    """The derivative formula of each lane's envelope clause, regardless
+    of region; s and s_hat broadcast against beta like `_classify`'s
+    alpha.  Every clause is evaluated on every lane and selected by mask;
+    off its own lanes a clause may meet log1p(-1) = -inf, whose warnings
+    are silenced."""
+    omr = 1.0 - rho * rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.sqrt(-2.0 * np.log(np.clip(beta, _CLAMP_LO, _CLAMP_HI)))
+        th = np.sqrt(-2.0 * np.log1p(-np.clip(beta, 1.0 - _CLAMP_HI, 1.0 - _CLAMP_LO)))
+        e1 = (t - rho * s) / (omr * t) * np.exp(-(s - rho * t) ** 2 / (2.0 * omr))
+        e2 = 1.0 - (th - rho * s_hat) / (omr * th) * np.exp(
+            -(s_hat - rho * th) ** 2 / (2.0 * omr))
+    return np.where(clause == 1, e1,
+           np.where(clause == 2, e2,
+           np.where(clause == 3, 0.0, 1.0)))
+
+
+def _theta(data, rho: float, beta):
+    """theta_alpha(beta) of profiles sharing rho.  `data` is one profile's
+    `ThetaProfile.clause_data`, or the clause data of P profiles stacked as
+    (7, P, 1) columns, which gives a (P, ...) array against beta.  Either
+    way each lane does the same arithmetic, so a stacked row equals its
+    profile's own `value` bit for bit.  The flat profiles (alpha 0 or 1,
+    rho 0) and the step at rho = 1 take their closed forms."""
+    alpha, s, s_hat, *edges = data
+    beta = np.asarray(beta, dtype=float)
+    flat = (alpha <= 0.0) | (alpha >= 1.0) | (rho * rho == 0.0)
+    if rho * rho == 0.0:  # including underflowing rho
+        out = np.zeros(np.broadcast_shapes(np.shape(alpha), beta.shape))
+    elif rho == 1.0:
+        out = np.where(beta <= alpha, 1.0, 0.0)
+    else:
+        clause = _classify(alpha, beta, rho, edges)
+        out = np.where(beta <= 0.0, 1.0, np.where(
+            beta >= 1.0, 0.0, _clause_formula(s, s_hat, rho, beta, clause)))
+    return np.where(flat, _unit(alpha), out)
 
 
 def big_theta(alpha: float, beta: float, rho: float) -> float:
@@ -294,7 +353,8 @@ class ThetaProfile:
     continuity points except `jump_beta` = 1 - alpha, where the envelope
     has a genuine kink and the profile steps down.  `s`, `s_hat` and the
     four region `edges` (`_region_edges`) are the clause data fixed by
-    (alpha, rho), computed once per profile.
+    (alpha, rho), computed once per profile; `clause_data` gathers them
+    for `_theta`.
     """
 
     alpha: float
@@ -305,37 +365,17 @@ class ThetaProfile:
     clause_boundaries: tuple
     jump_beta: float | None
 
+    @property
+    def clause_data(self) -> tuple:
+        """(alpha, s, s_hat, *edges), the input of `_theta`; a flat
+        profile has no edges and gives nan in their place."""
+        return (self.alpha, self.s, self.s_hat, *(self.edges or (math.nan,) * 4))
+
     def value(self, beta):
         """theta_alpha(beta), lane-wise over an array of beta; a scalar
         gives a float."""
-        beta = np.asarray(beta, dtype=float)
-        a, r = self.alpha, self.rho
-        if a <= 0.0 or a >= 1.0 or r * r == 0.0:
-            out = np.full(beta.shape, 0.0 if a <= 0.0 else 1.0 if a >= 1.0 else a)
-        elif r == 1.0:
-            out = np.where(beta <= a, 1.0, 0.0)
-        else:
-            clause = _classify(a, beta, r, self.edges)
-            out = np.where(beta <= 0.0, 1.0,
-                           np.where(beta >= 1.0, 0.0, self._formula(beta, clause)))
+        out = _theta(np.array(self.clause_data), self.rho, beta)
         return float(out) if out.ndim == 0 else out
-
-    def _formula(self, beta, clause):
-        """The derivative formula of each lane's envelope clause, regardless
-        of region.  Every clause is evaluated on every lane and selected by
-        mask; off its own lanes a clause may meet log1p(-1) = -inf, whose
-        warnings are silenced."""
-        s, sh, rho = self.s, self.s_hat, self.rho
-        omr = 1.0 - rho * rho
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.sqrt(-2.0 * np.log(np.clip(beta, _CLAMP_LO, _CLAMP_HI)))
-            th = np.sqrt(-2.0 * np.log1p(-np.clip(beta, 1.0 - _CLAMP_HI, 1.0 - _CLAMP_LO)))
-            e1 = (t - rho * s) / (omr * t) * np.exp(-(s - rho * t) ** 2 / (2.0 * omr))
-            e2 = 1.0 - (th - rho * sh) / (omr * th) * np.exp(
-                -(sh - rho * th) ** 2 / (2.0 * omr))
-        return np.where(clause == 1, e1,
-               np.where(clause == 2, e2,
-               np.where(clause == 3, 0.0, 1.0)))
 
     __call__ = value
 
@@ -377,9 +417,10 @@ class ThetaProfile:
             if not 1e-12 < b < 1.0 - 1e-12:
                 continue
             probe = max(1e-12, 1e-9 * min(b, 1.0 - b))
-            left = _classify(self.alpha, b - probe, self.rho, self.edges)
-            right = _classify(self.alpha, b + probe, self.rho, self.edges)
-            gap = float(abs(self._formula(b, left) - self._formula(b, right)))
+            left, right = (_classify(self.alpha, x, self.rho, self.edges)
+                           for x in (b - probe, b + probe))
+            gap = float(abs(_clause_formula(self.s, self.s_hat, self.rho, b, left)
+                            - _clause_formula(self.s, self.s_hat, self.rho, b, right)))
             out.append((b, gap))
         return out
 
@@ -455,6 +496,13 @@ def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
     array of values): each round makes one call of it on the 21 nodes of
     every live subinterval of every piece.
 
+    Each piece [a, a + w] is integrated in u in [0, 1] through the graded
+    map beta = a + w u^2 (3 - 2u) with weight 6 w u (1 - u), which turns
+    an x ln x bend at either end into ~u^3 ln u (module docstring).  A
+    node's beta is taken from the nearer end of its piece, so it never
+    leaves the piece.  Subintervals, their splits and their error
+    estimates all live in u.
+
     A subinterval's error estimate is |K21 - G10|.  The rule stops once the
     summed estimate of the accepted and live subintervals is at most
     max(epsabs, 1e-11 |I|).  Until then a live subinterval whose estimate is
@@ -468,15 +516,22 @@ def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
     Raises RuntimeError when the summed estimate exceeds _QUAD_ERROR_BUDGET.
     """
     edges = np.array([0.0, *sorted(p for p in set(inner_points) if 0.0 < p < 1.0), 1.0])
-    lo, hi = edges[:-1], edges[1:]
-    piece = np.arange(lo.size)
-    size = np.ones(lo.size, dtype=np.int64)  # subintervals of each piece
+    start, end = edges[:-1], edges[1:]
+    width = end - start
+    piece = np.arange(start.size)
+    lo, hi = np.zeros(start.size), np.ones(start.size)  # in u, per piece
+    size = np.ones(start.size, dtype=np.int64)  # subintervals of each piece
     total = error = 0.0  # over the accepted subintervals
     while lo.size:
         half = 0.5 * (hi - lo)
-        x = (lo + half)[:, None] + half[:, None] * _GK_NODES
-        fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-        kg = half[:, None] * (fx @ _GK_WEIGHTS)
+        u = (lo + half)[:, None] + half[:, None] * _GK_NODES
+        v = np.minimum(u, 1.0 - u)  # u measured from the nearer end
+        grade = v * v * (3.0 - 2.0 * v)
+        w = width[piece][:, None]
+        beta = np.where(u <= 0.5, start[piece][:, None] + w * grade,
+                        end[piece][:, None] - w * grade)
+        fx = np.asarray(fn(beta.ravel()), dtype=float).reshape(u.shape)
+        kg = half[:, None] * ((fx * (6.0 * w * v * (1.0 - v))) @ _GK_WEIGHTS)
         value, err = kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
         left = max(epsabs, 1e-11 * abs(total + value.sum())) - error
         if err.sum() <= left:
@@ -490,9 +545,11 @@ def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
         size = np.where(fits, grown, size)
         total += value[~split].sum()
         error += err[~split].sum()
-        cuts = np.linspace(lo[split], hi[split], _QUAD_SPLIT + 1, axis=1)
+        lo, hi, piece = lo[split, None], hi[split, None], piece[split]
+        cuts = lo + (hi - lo) * np.arange(_QUAD_SPLIT + 1) / _QUAD_SPLIT
+        cuts[:, -1] = hi[:, 0]  # the parts tile the subinterval exactly
         lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-        piece = np.repeat(piece[split], _QUAD_SPLIT)
+        piece = np.repeat(piece, _QUAD_SPLIT)
     if not error <= _QUAD_ERROR_BUDGET:
         raise RuntimeError(f"quadrature error estimate {error:.3g} exceeds "
                            f"the budget {_QUAD_ERROR_BUDGET:g}")
@@ -528,9 +585,9 @@ def gamma_vec(eps: Sequence[float], k: int, rho: float, phi: PhiSpec) -> float:
     mask m in [0, 2^k): bit j of m set means the j-th subcube coordinate
     equals +1.  K is the noise kernel on the k-cube: the weight between
     assignments at Hamming distance d is cp^{k-d} cm^d, and each row sums
-    to 1.  Each quadrature round evaluates every distinct profile once on
-    all of its nodes, and Phi once on the (2^k, nodes) array of row
-    mixtures K @ theta.
+    to 1.  Each quadrature round makes one `_theta` call for the distinct
+    profiles stacked, on all of its nodes, and evaluates Phi once on the
+    (2^k, nodes) array of row mixtures K @ theta.
     """
     if len(eps) != 2 ** k:
         raise ValueError("eps must have length 2^k")
@@ -538,17 +595,19 @@ def gamma_vec(eps: Sequence[float], k: int, rho: float, phi: PhiSpec) -> float:
         raise ValueError("entries of eps must lie in [0, 1]")
     if not phi.convex:
         raise ValueError("Gamma requires a convex test function")
-    profiles = {e: theta_profile(e, rho) for e in eps}
+    alphas = list(dict.fromkeys(eps))
+    rows = np.array([alphas.index(e) for e in eps])
+    profiles = [theta_profile(a, rho) for a in alphas]
+    stack = np.array([p.clause_data for p in profiles]).T[:, :, None]
     kernel = noise_kernel(k, rho)
     if np.abs(kernel.sum(axis=1) - 1.0).max() > 1e-12:
         raise AssertionError("weight row does not sum to 1")
 
     def integrand(beta):
-        value = {e: p.value(beta) for e, p in profiles.items()}
-        column = np.array([value[e] for e in eps])
+        column = _theta(stack, rho, beta)[rows]
         return np.sum(phi(kernel @ column), axis=0) / 2 ** k
 
-    points = set().union(*(p.clause_boundaries for p in profiles.values()))
+    points = set().union(*(p.clause_boundaries for p in profiles))
     return _integrate_unit(integrand, points)
 
 

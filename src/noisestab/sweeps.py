@@ -171,19 +171,23 @@ def envelope_check(n: int, rho: float, F: np.ndarray,
 
     Each row is sorted decreasingly once; the capture at budget beta is
     the prefix sum over floor(beta 2^n) cells plus a fraction of the next.
+    The sorted rows are stored transposed, so that cell k of every row,
+    V[k], and the prefix sums C[k] before it are contiguous.
     """
     T = noised(F, n, rho)
     N = T.shape[1]
-    V = -np.sort(-T, axis=1)
-    C = np.concatenate([np.zeros((T.shape[0], 1)), np.cumsum(V, axis=1) / N], axis=1)
+    V = np.ascontiguousarray(np.sort(T, axis=1)[:, ::-1].T)
+    C = np.zeros((N + 1, T.shape[0]))
+    np.cumsum(V, axis=0, out=C[1:])
+    C[1:] /= N
     worst = -math.inf
     for beta in np.linspace(0.0, 1.0, beta_points):
         env = bounds.big_theta(0.5, float(beta), rho)
         if beta >= 1.0:
-            capture = C[:, N]
+            capture = C[N]
         else:
             k = min(int(math.floor(beta * N)), N - 1)
-            capture = C[:, k] + (beta * N - k) * V[:, k] / N
+            capture = C[k] + (beta * N - k) * V[k] / N
         worst = max(worst, float(capture.max() - env))
     return CheckResult("majorization", n, rho, F.shape[0], worst, tol, worst <= tol)
 

@@ -190,6 +190,45 @@ def test_profile_value_rejects_nan_lanes():
         prof.value(np.array([0.2, math.nan]))
 
 
+def _stacked(profiles):
+    """Clause data of profiles sharing rho as (7, P, 1) columns."""
+    return np.array([p.clause_data for p in profiles]).T[:, :, None]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_theta_equals_profile_values_bit_for_bit(seed):
+    from noisestab.bounds import _theta
+    rng = np.random.default_rng(seed)
+    rhos = [*rng.uniform(0.01, 0.99, 4), 0.0, 1.0, 1e-200]
+    for rho in map(float, rhos):
+        alphas = [0.0, *map(float, rng.uniform(0.01, 0.99, 5)), 1.0]
+        profiles = [ns.theta_profile(a, rho) for a in alphas]
+        special = {0.0, 1.0, *(1.0 - a for a in alphas)}
+        for p in profiles:
+            special |= {*p.edges, *p.clause_boundaries}
+        near = {float(np.nextafter(b, d)) for b in special for d in (-1.0, 2.0)}
+        betas = np.array(sorted(special | near | set(np.linspace(0.0, 1.0, 101))))
+        stacked = _theta(_stacked(profiles), rho, betas)
+        assert stacked.shape == (len(profiles), betas.size)
+        for row, p in zip(stacked, profiles):
+            assert row.tolist() == p.value(betas).tolist(), (p.alpha, rho)
+
+
+def test_stacked_theta_error_names_the_failing_lane():
+    from noisestab.bounds import _theta
+    profiles = [ns.theta_profile(a, 0.6) for a in (0.2, 0.45, 0.7)]
+    betas = np.tile(np.linspace(0.05, 0.95, 7), (3, 1))
+    betas[1, 4] = math.nan
+    with pytest.raises(ProfileRegionError, match=r"alpha=0\.45, beta=nan, rho=0\.6"):
+        _theta(_stacked(profiles), 0.6, betas)
+    # a flat profile has no clauses: a nan lane of it is not an error, and
+    # the first lane that fails is the next profile's
+    profiles[0] = ns.theta_profile(0.0, 0.6)
+    betas[0, 2], betas[1, 4], betas[2, 1] = math.nan, 0.5, math.nan
+    with pytest.raises(ProfileRegionError, match=r"alpha=0\.7, beta=nan"):
+        _theta(_stacked(profiles), 0.6, betas)
+
+
 # ---------------------------------------------------------------------------
 # Gamma by quadrature
 # ---------------------------------------------------------------------------
@@ -447,6 +486,66 @@ def test_integrate_unit_caps_each_piece():
     assert 0 < max(sizes) <= 200 * 21
 
 
+def test_integrate_unit_x_log_x_with_inner_point():
+    # x ln x bends hardest at 0; the graded map clears it on both pieces
+    from noisestab.bounds import _integrate_unit
+    from scipy.special import xlogy
+    assert abs(_integrate_unit(lambda b: xlogy(b, b), (0.5,)) + 0.25) < 1e-14
+
+
+#: eps x rho grid of the Gamma accuracy and rounds tests below.
+GRADED_GRID = [(eps, rho) for eps in (1 / 32, 3 / 32, 5 / 16, 7 / 16, 1 / 2)
+               for rho in (0.1, 0.5, 0.9)]
+
+
+def tight_quad_gamma(eps, rho, phi):
+    """Gamma by QUADPACK per piece, far below the adaptive rule's tolerance."""
+    from scipy.integrate import quad
+    cp, cm = (1 + rho) / 2, (1 - rho) / 2
+    far, near = ns.theta_profile(1 - eps, rho), ns.theta_profile(eps, rho)
+
+    def integrand(t):
+        a, b = far.value(t), near.value(t)
+        return 0.5 * (float(phi(cp * a + cm * b)) + float(phi(cm * a + cp * b)))
+
+    inner = set(far.clause_boundaries) | set(near.clause_boundaries)
+    pts = [0.0] + sorted(p for p in inner if 0 < p < 1) + [1.0]
+    return sum(quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+               for lo, hi in zip(pts[:-1], pts[1:]))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("name", sweeps.GAMMA_PHIS)
+def test_gamma_phi_within_2e13_of_tight_quad(name):
+    phi = sweeps._phi_from_name(name)
+    for eps, rho in GRADED_GRID:
+        err = abs(ns.gamma_phi(eps, rho, phi) - tight_quad_gamma(eps, rho, phi))
+        assert err < 2e-13, (eps, rho, err)
+
+
+def test_gamma_phi_rounds_budget_on_grid(monkeypatch):
+    # at most a few rounds per Gamma: the graded map resolves the x ln x
+    # bends at the pieces' ends in one split
+    from noisestab import bounds
+    real, rounds = bounds._integrate_unit, []
+
+    def counting(fn, points, **kw):
+        rounds.append(0)
+
+        def counted(b):
+            rounds[-1] += 1
+            return fn(b)
+        return real(counted, points, **kw)
+
+    monkeypatch.setattr(bounds, "_integrate_unit", counting)
+    for name in sweeps.GAMMA_PHIS:
+        phi = sweeps._phi_from_name(name)
+        for eps, rho in GRADED_GRID:
+            ns.gamma_phi(eps, rho, phi)
+    assert len(rounds) == 3 * len(GRADED_GRID)
+    assert sum(rounds) / len(rounds) <= 2.5 and max(rounds) <= 4, rounds
+
+
 def test_gamma_q_pinned_extended_precision():
     mp = pytest.importorskip("mpmath").mp
     mpf = pytest.importorskip("mpmath").mpf
@@ -643,3 +742,22 @@ def test_borell_bound_limits():
     err_far = abs(ns.borell_bound(0.3, 1 - 1e-3, phi) - limit)
     err_near = abs(ns.borell_bound(0.3, 1 - 1e-6, phi) - limit)
     assert err_near < err_far and err_near < 5e-3
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("name", ["one-sym", "q-asym:2"])
+def test_borell_bound_against_tight_quad(name):
+    from scipy.integrate import quad
+    from scipy.special import ndtr, ndtri
+    phi = sweeps._phi_from_name(name)
+    for alpha in (0.1, 0.3, 0.5, 0.8):
+        for rho in (0.2, 0.6, 0.9):
+            a, scale = ns.norm_ppf(alpha), math.sqrt(1 - rho * rho)
+
+            def integrand(b):
+                return float(phi(ndtr((a - rho * ndtri(b)) / scale)))
+
+            want = sum(quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+                       for lo, hi in ((0.0, alpha), (alpha, 1.0)))
+            err = abs(ns.borell_bound(alpha, rho, phi) - want)
+            assert err < 5e-13, (alpha, rho, err)
