@@ -318,8 +318,12 @@ def big_theta(alpha: float, beta: float, rho: float) -> float:
 
     Symmetric in (alpha, beta); Theta(alpha, 1) = alpha, Theta(alpha, 0) = 0;
     reduces to alpha*beta at rho = 0 and min(alpha, beta) at rho = 1.
+    A finite alpha or beta outside [0, 1] counts as its nearest endpoint;
+    nan raises ValueError.
     """
     _require_unit("rho", rho)
+    if math.isnan(alpha) or math.isnan(beta):
+        raise ValueError("alpha and beta must not be nan")
     if alpha <= 0.0 or beta <= 0.0:
         return 0.0
     if alpha >= 1.0:
@@ -733,23 +737,24 @@ def norm_ppf(p: float) -> float:
     return float(ndtri(p))
 
 
-def gaussian_theta(alpha: float, beta: float, rho: float) -> float:
+def gaussian_theta(alpha: float, beta, rho: float):
     """Ornstein-Uhlenbeck profile Psi((Psi^{-1}(alpha) - rho Psi^{-1}(beta))
-    / sqrt(1-rho^2)); endpoint inputs return their limits explicitly."""
+    / sqrt(1-rho^2)), lane-wise over an array of beta (a scalar gives a
+    float); endpoint inputs return their limits explicitly, and a nan alpha
+    or beta raises ValueError."""
     if not 0.0 <= rho < 1.0:
         raise ValueError("gaussian_theta requires rho in [0, 1)")
-    if alpha <= 0.0:
-        return 0.0
-    if alpha >= 1.0:
-        return 1.0
-    if beta <= 0.0:
-        return 1.0
-    if beta >= 1.0:
-        return 0.0
-    if rho == 0.0:
-        return alpha
-    arg = (norm_ppf(alpha) - rho * norm_ppf(beta)) / math.sqrt(1.0 - rho * rho)
-    return norm_cdf(arg)
+    beta = np.asarray(beta, dtype=float)
+    if math.isnan(alpha) or np.isnan(beta).any():
+        raise ValueError("gaussian_theta: alpha and beta must not be nan")
+    if alpha <= 0.0 or alpha >= 1.0:
+        out = np.full(beta.shape, 0.0 if alpha <= 0.0 else 1.0)
+    else:
+        # the lanes where ndtri is infinite or nan take the limits below
+        inner = alpha if rho == 0.0 else ndtr(
+            (norm_ppf(alpha) - rho * ndtri(beta)) / math.sqrt(1.0 - rho * rho))
+        out = np.where(beta <= 0.0, 1.0, np.where(beta >= 1.0, 0.0, inner))
+    return float(out) if out.ndim == 0 else out
 
 
 def borell_bound(alpha: float, rho: float, phi: PhiSpec) -> float:
@@ -761,11 +766,5 @@ def borell_bound(alpha: float, rho: float, phi: PhiSpec) -> float:
         return float(phi(min(max(alpha, 0.0), 1.0)))
     if rho == 0.0:
         return float(phi(alpha))
-
-    a = norm_ppf(alpha)
-    scale = math.sqrt(1.0 - rho * rho)
-
-    def integrand(beta):
-        return phi(ndtr((a - rho * ndtri(beta)) / scale))
-
-    return _integrate_unit(integrand, {alpha}, epsabs=1e-11)
+    return _integrate_unit(lambda beta: phi(gaussian_theta(alpha, beta, rho)),
+                           {alpha}, epsabs=1e-11)

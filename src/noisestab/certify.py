@@ -30,6 +30,7 @@ names its first failing lane in grid order.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 
@@ -158,12 +159,14 @@ def _max_omega_on(b_hi):
     cells, which = np.unique(cell, axis=0, return_inverse=True)
     refined = np.array([_golden_max(omega, lo, hi) for lo, hi in cells.tolist()])
     arg, value = refined.reshape(-1, 2)[which.ravel()].T
-    # Python's max over (value, arg) pairs, in the order refined cell,
-    # grid winner, endpoint: a later pair wins only when strictly larger
-    for cand, cand_at in ((np.where(at_end, end_vals, run_max[n - 1]), grid_at(i)),
-                          (end_vals, lanes)):
-        take = (cand > value) | ((cand == value) & (cand_at > arg))
-        value, arg = np.where(take, cand, value), np.where(take, cand_at, arg)
+    # Python's max over (value, arg) pairs, the refined cell's first; where
+    # omega(b_hi) ties the grid maximum, the endpoint stands in for the grid
+    # winner, as its larger argument would win that tie
+    on_end = end_vals >= run_max[n - 1]
+    cand = np.where(on_end, end_vals, run_max[n - 1])
+    cand_at = np.where(on_end, lanes, grid_at(i))
+    take = (cand > value) | ((cand == value) & (cand_at > arg))
+    value, arg = np.where(take, cand, value), np.where(take, cand_at, arg)
     if b_hi.ndim == 0:
         return float(value[0]), float(arg[0])
     return value.reshape(b_hi.shape), arg.reshape(b_hi.shape)
@@ -279,8 +282,7 @@ def theta_prime_analytic(rho: float) -> float:
 def lipschitz_margin(rho: float, step: float = 1e-6) -> float:
     """|theta'(rho)| by symmetric difference; must stay below the
     certificate constant M = 20 on the certified interval."""
-    hi = theta_rho(rho + step)
-    lo = theta_rho(rho - step)
+    hi, lo = evaluate_point(np.array([rho + step, rho - step])).theta.tolist()
     return abs(hi - lo) / (2.0 * step)
 
 
@@ -443,15 +445,9 @@ def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     if isinstance(x, float):  # strict JSON has no inf or nan
         return format(x, ".17g") if math.isfinite(x) else "null"
-    if x is None:
-        return "null"
-    return '"' + str(x).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(x)
 
 
 def certificate_to_json(cert: Certificate) -> str:

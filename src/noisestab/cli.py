@@ -240,8 +240,8 @@ def cmd_brute(args) -> int:
 
 def cmd_plot(args) -> int:
     step = args.rho_step
-    if not 0.0 < step < 1.0:  # the grid below is the CLI's own
-        raise ValueError("--rho-step must lie in (0, 1)")
+    if not 0.0 < step < 1.0 - 1e-12:  # the grid below is the CLI's own, from rho = step
+        raise ValueError("--rho-step must lie in (0, 1 - 1e-12)")
     if (1.0 - 1e-12) / step > PLOT_MAX_ROWS:
         raise ValueError(f"--rho-step {step!r} would write more than "
                          f"{PLOT_MAX_ROWS} rows")

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import bounds
 from .cube import (MAX_EXHAUSTIVE_N, MAX_N, DimensionError, _hamming_matrix,
@@ -244,7 +243,7 @@ def local_optimality_check(n: int, rho: float, F: np.ndarray,
     near = dictator_distances(F, n).min(axis=1) <= bounds.eps_star(rho)
     dict_val = 0.5 * float(bounds.h((1.0 - rho) / 2.0))
     if near.any():
-        stab1 = _phi_means(codes[near], _code_values(n, rho), lambda T: xlogy(T, T))
+        stab1 = _phi_means(codes[near], _code_values(n, rho), bounds.phi_one_asymmetric().fn)
         worst = float((stab1 - dict_val).max())
     else:
         worst = -math.inf

@@ -64,6 +64,17 @@ def test_big_theta_endpoints():
             assert ns.big_theta(a, 0.0, rho) == 0.0
             assert ns.big_theta(1.0, a, rho) == a
             assert ns.big_theta(0.0, a, rho) == 0.0
+            # finite values outside [0, 1] give the same limits
+            assert ns.big_theta(a, 7.0, rho) == ns.big_theta(7.0, a, rho) == a
+            assert ns.big_theta(a, -0.5, rho) == ns.big_theta(-0.5, a, rho) == 0.0
+
+
+@pytest.mark.parametrize("alpha, beta, rho", [
+    (math.nan, 0.5, 0.5), (0.3, math.nan, 1.0), (0.5, math.nan, 0.5),
+    (math.nan, 0.3, 0.0), (0.3, math.nan, 0.0), (math.nan, math.nan, 0.9)])
+def test_big_theta_rejects_nan(alpha, beta, rho):
+    with pytest.raises(ValueError, match="nan"):
+        ns.big_theta(alpha, beta, rho)
 
 
 def test_big_theta_symmetry_grid():
@@ -725,6 +736,20 @@ def test_gaussian_theta_limits():
     assert ns.gaussian_theta(0.3, 1.0, 0.6) == 0.0
     with pytest.raises(ValueError):
         ns.gaussian_theta(0.3, 0.5, 1.0)
+    for rho in (0.0, 0.6):
+        for alpha, beta in ((0.3, math.nan), (0.3, np.array([0.5, math.nan])),
+                            (math.nan, 0.5)):
+            with pytest.raises(ValueError, match="nan"):
+                ns.gaussian_theta(alpha, beta, rho)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.2, 0.6, 0.9])
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3, 0.5, 1.0])
+def test_gaussian_theta_lanes_equal_scalar_calls(alpha, rho):
+    betas = np.concatenate([[0.0, 1.0, 1e-300, 1.0 - 2.0 ** -53, -0.5, 1.5],
+                            np.linspace(0.0, 1.0, 41)])
+    lanes = ns.gaussian_theta(alpha, betas, rho)
+    assert lanes.tolist() == [ns.gaussian_theta(alpha, b, rho) for b in betas.tolist()]
 
 
 def test_gaussian_theta_mass():
@@ -761,3 +786,25 @@ def test_borell_bound_against_tight_quad(name):
                        for lo, hi in ((0.0, alpha), (alpha, 1.0)))
             err = abs(ns.borell_bound(alpha, rho, phi) - want)
             assert err < 5e-13, (alpha, rho, err)
+
+
+#: borell_bound on the grid above, by repr, from the inline OU integrand
+#: it had before it integrated gaussian_theta: the merge moved no bit
+BORELL_PINNED = {
+    "one-sym": ("-0.31817987408286624", "-0.25764771720952745", "-0.13881740485067712",
+                "-0.5992113874966025", "-0.49371744993407674", "-0.27236984433126765",
+                "-0.6802495908427058", "-0.5625895171294539", "-0.3119030024077888",
+                "-0.490498530906179", "-0.4018359084971158", "-0.21998999431381538"),
+    "q-asym:2": ("-0.08872739978844917", "-0.07544030574761607", "-0.042677233652223215",
+                 "-0.20513709403531807", "-0.16362897251889558", "-0.08651601744190282",
+                 "-0.24363210340006367", "-0.1913883443775193", "-0.09973352384254766",
+                 "-0.15682033649695654", "-0.12791406298091776", "-0.06915396511544955"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BORELL_PINNED))
+def test_borell_bound_pinned_values(name):
+    phi = sweeps._phi_from_name(name)
+    got = tuple(repr(ns.borell_bound(alpha, rho, phi))
+                for alpha in (0.1, 0.3, 0.5, 0.8) for rho in (0.2, 0.6, 0.9))
+    assert got == BORELL_PINNED[name]

@@ -413,6 +413,18 @@ def test_certificate_json_schema():
     assert len(row) == 5
 
 
+def test_certificate_json_is_strict_for_any_failure_reason():
+    reason = 'a "quote", a \\ backslash, a\nnewline, a\ttab and \u00e9'
+    cert = ns.Certificate(
+        rho_lo=0.7, rho_hi=0.7, step=8e-5, delta=0.0016, lipschitz_m=20.0,
+        n_points=0, worst_theta=math.inf, worst_rho=0.7, passed=False,
+        per_point=(), tool_version="0.1.0", failure_reason=reason)
+    doc = json.loads(certificate_to_json(cert))  # strict: no raw control characters
+    assert doc["failure_reason"] == reason
+    assert doc["worst_theta"] is None and doc["pass"] is False
+    assert doc["n_points"] == 0 and doc["per_point"] == []
+
+
 def test_conjecture_consistency_at_desk_scale():
     # balanced functions at n <= 4 against the dictator benchmark on a
     # subsample of the certificate grid

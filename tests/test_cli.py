@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import noisestab as ns
 from noisestab.cli import main
@@ -327,10 +328,30 @@ _brute = st.builds(
     st.lists(st.sampled_from(["ck", "qstab", "majorization", "localopt", "nope"]),
              max_size=2),
     st.none() | st.integers(-1, 20), st.none() | st.integers(-1, 5))
+_rho_value = _values | st.floats(0.0, 1.0).map(repr)
+
+
+def _verify_step(lo, hi, parts, bad):
+    """A --step that splits [lo, hi] into `parts` (1..1,000) cells, or
+    `bad` where the range does not parse to finite lo < hi."""
+    try:
+        lo, hi = float(lo), float(hi)
+    except ValueError:
+        return bad
+    return repr((hi - lo) / parts) if lo < hi and math.isfinite(hi - lo) else bad
+
+
+@st.composite
+def _verify(draw):
+    lo, hi = draw(_rho_value), draw(_rho_value)
+    step = _verify_step(lo, hi, draw(st.integers(1, 1000)), draw(_values))
+    optional = [_opt(name, draw(_values)) for name in ("delta", "lipschitz")
+                if draw(st.booleans())]
+    return ["verify", _opt("rho-lo", lo), _opt("rho-hi", hi), _opt("step", step), *optional]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(_eps_star, _bounds_table, _gamma, _brute))
+@given(st.one_of(_eps_star, _bounds_table, _gamma, _brute, _verify()))
 def test_every_input_gives_strict_json_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -341,6 +362,25 @@ def test_every_input_gives_strict_json_or_one_error_line(argv):
     else:
         assert code in (0, 1), (argv, code)
         _strict_json(out.getvalue())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_values | st.floats(1e-5, 1.0).map(repr))
+@example("0.9999999999999")  # in (0, 1), yet no grid point lies below 1 - 1e-12
+def test_every_plot_step_gives_csv_or_one_error_line(step):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["plot", _opt("rho-step", step)])
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (step, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (step, err.getvalue())
+        return
+    assert code == 0, (step, code)
+    header, *rows = out.getvalue().splitlines()
+    assert header == "rho,eps_star" and rows, step
+    for row in rows:
+        rho, eps = map(float, row.split(","))
+        assert 0.0 < rho < 1.0 and 0.0 < eps < 0.5, (step, row)
 
 
 # ---------------------------------------------------------------------------
