@@ -255,20 +255,25 @@ def _classify(alpha, beta, rho: float, edges):
     of beta; each lane compares its own row's data.  A lane with alpha in
     (0, 1) that no clause covers (nan among them) raises
     ProfileRegionError naming that lane's alpha and beta; a flat profile
-    (alpha 0 or 1) has no clauses and is not checked."""
+    (alpha 0 or 1) has no clauses and is not checked.
+
+    Scalar floats give an int, arrays an int array.  The clause is 0/1
+    arithmetic that means the same on Python bools and numpy bool
+    arrays: x < 1 is "not x", x > y is "x and not y"."""
     b_rs, b_sr, b_hrs, b_hsr = edges
-    beta = np.asarray(beta, dtype=float)
     in_e1 = (b_sr <= beta) & (beta <= b_rs)
     in_e2 = (b_hrs <= beta) & (beta <= b_hsr)
-    clause = np.where(in_e1 & (~in_e2 | (beta <= 1.0 - alpha)), 1,
-             np.where(in_e2, 2,
-             np.where((beta >= b_rs) & (beta >= b_hsr), 3,
-             np.where((beta <= b_sr) & (beta <= b_hrs), 4, 0))))
-    if not clause.all():
+    above = (beta >= b_rs) & (beta >= b_hsr)
+    below = (beta <= b_sr) & (beta <= b_hrs)
+    one = in_e1 & ((in_e2 < 1) | (beta <= 1.0 - alpha))
+    clause = (one + 2 * (in_e2 > one)
+              + ((in_e1 | in_e2) < 1) * (3 * above + 4 * (below > above)))
+    if not np.all(clause):
         uncovered = (clause == 0) & (0.0 < alpha) & (alpha < 1.0)
-        if uncovered.any():
+        if np.any(uncovered):
             k = np.flatnonzero(uncovered)[0]
-            a, b = (float(np.broadcast_to(x, clause.shape).flat[k]) for x in (alpha, beta))
+            shape = np.shape(uncovered)
+            a, b = (float(np.broadcast_to(x, shape).flat[k]) for x in (alpha, beta))
             raise ProfileRegionError(
                 f"no envelope clause covers alpha={a}, beta={b}, rho={rho}")
     return clause
@@ -762,6 +767,8 @@ def borell_bound(alpha: float, rho: float, phi: PhiSpec) -> float:
     attained by the half-space indicator of measure alpha."""
     if not 0.0 <= rho < 1.0:
         raise ValueError("borell_bound requires rho in [0, 1)")
+    if math.isnan(alpha):
+        raise ValueError("borell_bound: alpha must not be nan")
     if alpha <= 0.0 or alpha >= 1.0:
         return float(phi(min(max(alpha, 0.0), 1.0)))
     if rho == 0.0:

@@ -225,6 +225,16 @@ def test_stacked_theta_equals_profile_values_bit_for_bit(seed):
             assert row.tolist() == p.value(betas).tolist(), (p.alpha, rho)
 
 
+def test_scalar_classify_error_names_alpha_and_beta():
+    # big_theta classifies one (alpha, beta) in Python floats; an uncovered
+    # lane there must raise the same error as a lane of an array
+    from noisestab.bounds import _classify, _region_edges
+    edges = _region_edges(0.45, 0.6)
+    assert _classify(0.45, 0.3, 0.6, edges) in (1, 2, 3, 4)
+    with pytest.raises(ProfileRegionError, match=r"alpha=0\.45, beta=nan, rho=0\.6"):
+        _classify(0.45, math.nan, 0.6, edges)
+
+
 def test_stacked_theta_error_names_the_failing_lane():
     from noisestab.bounds import _theta
     profiles = [ns.theta_profile(a, 0.6) for a in (0.2, 0.45, 0.7)]
@@ -439,6 +449,8 @@ def test_gamma_q_closed_forms():
     lambda: ns.phi_q_asymmetric(math.nan),
     lambda: ns.phi_q_asymmetric(math.inf),
     lambda: ns.phi_q_symmetric(-1.0),
+    lambda: ns.borell_bound(math.nan, 0.0, ns.phi_one_symmetric()),
+    lambda: ns.borell_bound(math.nan, 0.5, ns.phi_one_symmetric()),
 ])
 def test_bounds_reject_inputs_outside_their_domain(call):
     with pytest.raises(ValueError):

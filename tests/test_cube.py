@@ -1,8 +1,11 @@
 """Exact cube computations against brute-force and closed-form oracles."""
 
+import importlib.util
 import itertools
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,6 +570,115 @@ def test_checks_make_one_bound_call_per_distinct_key(monkeypatch, n, rho, F):
             eps = [a[0] for a in args[j * want.size:(j + 1) * want.size]]
             assert eps == want.tolist(), (name, j)
     assert len(calls["big_theta"]) == 64
+
+
+CHECKS = (sweeps.envelope_check, sweeps.gamma_bound_check, sweeps.q_bound_check,
+          sweeps.ck_check, sweeps.local_optimality_check)
+
+
+def test_family_tables_built_once_per_array(monkeypatch):
+    # the class tables depend on neither rho nor the check: five checks at
+    # three rhos compute the family's codes once; an equal array that is
+    # another object builds its own
+    n = 3
+    F = sweeps.balanced_supports(n)
+    seen = []
+    real = sweeps._codes
+    monkeypatch.setattr(sweeps, "_codes",
+                        lambda G, n: seen.append(G) or real(G, n))
+    results = [check(n, rho, F) for rho in (0.2, 0.5, 0.8) for check in CHECKS]
+    assert sum(G is F for G in seen) == 1
+    assert len(sweeps._family(F, n).counts) == 6
+    G = sweeps.balanced_supports(n)
+    assert [check(n, 0.5, G) for check in CHECKS] == results[5:10]
+    assert sum(H is G for H in seen) == 1
+
+
+def test_family_tables_see_writes_into_F():
+    n, rho = 3, 0.5
+    F = sweeps.balanced_supports(n)
+    before = [check(n, rho, F) for check in CHECKS]
+    # make a function near a dictator (row 0 is one) into a far one
+    far = np.flatnonzero(sweeps.dictator_distances(F, n).min(axis=1)
+                         > ns.eps_star(rho))
+    F[0] = F[far[0]]
+    after = [check(n, rho, F) for check in CHECKS]
+    assert after == [check(n, rho, F.copy()) for check in CHECKS]
+    assert after[-1].tested == before[-1].tested - 1
+    F[3, 2] = 0.5
+    for check in CHECKS:
+        with pytest.raises(ValueError, match="0/1"):
+            check(n, rho, F)
+
+
+def _per_row_oracle(name, n, rho, F):
+    """(tested, max_violation) of check `name` from every row's own
+    T_rho f and dictator distances, with one bound call per distinct
+    distance."""
+    T = sweeps.noised(F, n, rho)
+    d = sweeps.dictator_distances(F, n)
+
+    def at_coordinates(bound):
+        table = {e: bound(e) for e in np.unique(d).tolist()}
+        return np.vectorize(table.__getitem__)(d)
+
+    if name == "majorization":
+        N = 2 ** n
+        V = -np.sort(-T, axis=1)
+        C = np.hstack([np.zeros((len(F), 1)), np.cumsum(V, axis=1) / N])
+        worst = -math.inf
+        for beta in np.linspace(0.0, 1.0, 64):
+            k = min(int(beta * N), N - 1)
+            capture = C[:, N] if beta >= 1.0 else C[:, k] + (beta * N - k) * V[:, k] / N
+            worst = max(worst, (capture - ns.big_theta(0.5, float(beta), rho)).max())
+        return len(F), worst
+    if name == "gamma":
+        phis = [sweeps._phi_from_name(p) for p in sweeps.GAMMA_PHIS]
+        return len(F), max(
+            (phi.fn(T).mean(axis=1) - at_coordinates(
+                lambda e: ns.gamma_phi(e, rho, phi)).min(axis=1)).max() for phi in phis)
+    if name == "qstab":
+        upper = [((T ** q).mean(axis=1) - at_coordinates(
+            lambda e: ns.gamma_q(e, rho, q)).min(axis=1)).max() for q in sweeps.Q_UPPER]
+        lower = [(at_coordinates(lambda e: ns.gamma_q(e, rho, q)).max(axis=1)
+                  - (T ** q).mean(axis=1)).max() for q in sweeps.Q_LOWER]
+        return len(F), max(upper + lower)
+    if name == "ck":
+        h = ns.bounds.h
+        return len(F), (h(T).mean(axis=1) - h((1.0 + rho) / 2.0)).max()
+    near = d.min(axis=1) <= ns.eps_star(rho)
+    stab = xlogy(T[near], T[near]).mean(axis=1)
+    dict_val = 0.5 * ns.bounds.h((1.0 - rho) / 2.0)
+    return int(near.sum()), (stab - dict_val).max() if near.any() else -math.inf
+
+
+@pytest.mark.parametrize("n, F", [
+    (3, sweeps.balanced_supports(3)),
+    (5, sweeps.sampled_balanced_supports(5, 300, seed=4)),
+])
+def test_class_checks_agree_with_per_row_oracle(n, F):
+    for rho in (0.3, 0.85):
+        for check in CHECKS:
+            res = check(n, rho, F)
+            tested, worst = _per_row_oracle(res.name, n, rho, F)
+            assert res.tested == tested, res
+            assert (res.max_violation == worst
+                    or abs(res.max_violation - worst) <= 2.3e-16), (res, worst)
+
+
+def test_traced_brute_smoke_pass(capsys):
+    # `bench/run.py --trace 1` runs this pass; a sweeps change that breaks
+    # its gates, its traced call counts or its spans fails here
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_worker", root / "bench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    ref = json.loads((root / "bench" / "reference.json").read_text())["smoke"]
+    worker.trace_brute(ref, 0)
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (trace,) = [line for line in lines if line["kind"] == "trace"]
+    assert trace["failed"] == 0, trace["reasons"]
+    assert trace["metrics"]["sweeps.noised.call_ms.n"] > 0
 
 
 @pytest.mark.parametrize("n, rhos, checks, sample, seed", [
