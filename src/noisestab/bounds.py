@@ -19,11 +19,14 @@ On top of the profile sit the bound families: Gamma (one adaptive
 quadrature in beta of Phi at the mixtures of profiles along the rows of the
 noise kernel, `gamma_vec`; `gamma_phi` is its k = 1 case), gamma_q
 (hypercontractive closed form), gamma_one (its q->1 derivative), the
-threshold eps_star(rho), and the Gaussian analogues.
+threshold eps_star(rho) with `within_eps_star`, which tells a distance's
+side of it from the sign of its root equation, and the Gaussian analogues.
 
 Quadrature is lane-wise.  `_integrate_unit` is an adaptive 21-point
 Gauss-Kronrod rule that makes one integrand call per round, on the nodes of
-every live subinterval at once.  It stops when the summed error estimate
+every live subinterval at once.  Its first round already has every piece
+split into _QUAD_SPLIT equal parts, so an integrand smooth at the ends of
+its pieces takes one round.  It stops when the summed error estimate
 |K21 - G10| is within max(epsabs, 1e-11 |I|), and splits each subinterval
 it refines into _QUAD_SPLIT equal parts, so a round adds _QUAD_SPLIT - 1
 subintervals per split.  Each piece between forced points holds at most
@@ -60,8 +63,10 @@ _CLAMP_HI = 1.0 - 1e-16
 
 
 def _unit(t):
-    """Clip to [0, 1]: absorbs ulp-level roundoff from convex mixtures."""
-    return np.clip(t, 0.0, 1.0)
+    """Clip to [0, 1]: absorbs ulp-level roundoff from convex mixtures.
+    Bit for bit np.clip (nan and -0.0 kept), at less cost on the small
+    arrays of a quadrature round."""
+    return np.minimum(1.0, np.maximum(0.0, t))
 
 
 def _require_unit(name: str, x: float) -> None:
@@ -268,7 +273,7 @@ def _classify(alpha, beta, rho: float, edges):
     one = in_e1 & ((in_e2 < 1) | (beta <= 1.0 - alpha))
     clause = (one + 2 * (in_e2 > one)
               + ((in_e1 | in_e2) < 1) * (3 * above + 4 * (below > above)))
-    if not np.all(clause):
+    if not (clause if isinstance(clause, int) else np.all(clause)):
         uncovered = (clause == 0) & (0.0 < alpha) & (alpha < 1.0)
         if np.any(uncovered):
             k = np.flatnonzero(uncovered)[0]
@@ -494,8 +499,9 @@ _GK_NODES = np.concatenate([np.negative(_GK21_X[:-1]), _GK21_X[::-1]])
 _GK_WEIGHTS = np.array([w[:-1] + w[::-1] for w in (_GK21_WK, _GK21_WG)]).T
 _QUAD_LIMIT = 200
 _QUAD_ERROR_BUDGET = 1e-10
-#: Equal parts of each refined subinterval: wider rounds mean fewer of them,
-#: and rounds, not nodes, are what a Gamma quadrature pays for.
+#: Equal parts of each refined subinterval, and of each piece in the first
+#: round: wider rounds mean fewer of them, and rounds, not nodes, are what a
+#: Gamma quadrature pays for.
 _QUAD_SPLIT = 8
 
 
@@ -510,7 +516,10 @@ def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
     an x ln x bend at either end into ~u^3 ln u (module docstring).  A
     node's beta is taken from the nearer end of its piece, so it never
     leaves the piece.  Subintervals, their splits and their error
-    estimates all live in u.
+    estimates all live in u.  The first round already has each piece split
+    into _QUAD_SPLIT equal parts in u (the mesh one split of the whole
+    piece would give), which resolves an integrand smooth at the piece's
+    ends in that round.
 
     A subinterval's error estimate is |K21 - G10|.  The rule stops once the
     summed estimate of the accepted and live subintervals is at most
@@ -520,16 +529,17 @@ def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
     The global stop is what ends a piece whose error shrinks only like its
     width (a jump or kink at a clause edge), where the share test alone
     would split forever.  A piece holds at most _QUAD_LIMIT subintervals,
-    and each split adds _QUAD_SPLIT - 1 to its count: when a round's splits
-    would pass that, the piece accepts its live subintervals as they are.
+    _QUAD_SPLIT from the start, and each split adds _QUAD_SPLIT - 1 to its
+    count: when a round's splits would pass that, the piece accepts its
+    live subintervals as they are.
     Raises RuntimeError when the summed estimate exceeds _QUAD_ERROR_BUDGET.
     """
     edges = np.array([0.0, *sorted(p for p in set(inner_points) if 0.0 < p < 1.0), 1.0])
     start, end = edges[:-1], edges[1:]
     width = end - start
-    piece = np.arange(start.size)
-    lo, hi = np.zeros(start.size), np.ones(start.size)  # in u, per piece
-    size = np.ones(start.size, dtype=np.int64)  # subintervals of each piece
+    piece, part = np.divmod(np.arange(start.size * _QUAD_SPLIT), _QUAD_SPLIT)
+    lo, hi = part / _QUAD_SPLIT, (part + 1) / _QUAD_SPLIT  # in u
+    size = np.full(start.size, _QUAD_SPLIT)  # subintervals of each piece
     total = error = 0.0  # over the accepted subintervals
     while lo.size:
         half = 0.5 * (hi - lo)
@@ -703,6 +713,50 @@ def eps_star(rho):
             "equation is O(rho^2), and double precision resolves it only "
             "for rho above about 7e-4")
     return float(root) if root.ndim == 0 else root
+
+
+def _h_centered(x):
+    """G(x) = h(1/2 + x) + ln 2 = x log1p(2x) - x log1p(-2x) + log1p(-4x^2)/2,
+    lane-wise for x in [-1/2, 1/2].  G is O(x^2) and this form carries no
+    O(1) cancellation, so it keeps its relative accuracy at tiny x, where
+    h(1/2 + x) + ln 2 keeps none.
+
+    `within_eps_star` reads eps_star's root equation through it.  eps_star
+    itself moves onto it at the certificate's next re-pin (ROADMAP,
+    "eps_star on all of (0, 1)"), which moves two grid roots inside the
+    bisection's 1e-12 stop; `_eps_star_equation` is then deleted."""
+    return x * np.log1p(2.0 * x) - x * np.log1p(-2.0 * x) + 0.5 * np.log1p(-4.0 * x * x)
+
+
+def within_eps_star(eps, rho: float):
+    """eps <= eps_star(rho), lane-wise over an array of eps in [0, 1/2],
+    decided by the sign of the root equation, with no root searched for.
+
+    The root function fn(e) = h(c + rho e) - (1 + 2 rho^2 e/(1 - rho^2)) h(c),
+    c = (1 - rho)/2, is convex in e with fn(0) = 0 and its one root in
+    (0, 1/2) at eps_star, so fn(e) <= 0 exactly when e <= eps_star(rho).
+    It is evaluated as
+
+        fn(e)/rho^2 = (G(x1) - G(x0))/rho^2 - 2 e h(c)/(1 - rho^2),
+
+    x0 = -rho/2, x1 = x0 + rho e, with G = `_h_centered`: O(1) at every rho,
+    so the test answers for every rho in (0, 1) at which G(x0), about
+    rho^2/2, is a normal double, rho above about 2e-154.  Below that it
+    raises RuntimeError naming rho; rho outside (0, 1) raises ValueError.
+    """
+    if not 0.0 < rho < 1.0:
+        raise ValueError("within_eps_star requires rho in (0, 1)")
+    x0 = -rho / 2.0
+    g0 = float(_h_centered(x0))
+    if g0 < np.finfo(float).tiny:
+        raise RuntimeError(
+            f"within_eps_star cannot decide at rho={rho}: the root equation "
+            "is O(rho^2), and double precision holds it as a normal number "
+            "only for rho above about 2e-154")
+    eps = np.asarray(eps, dtype=float)
+    r2 = rho * rho
+    slope = 2.0 * float(h((1.0 - rho) / 2.0)) / (1.0 - r2)
+    return (_h_centered(x0 + rho * eps) - g0) / r2 - slope * eps <= 0.0
 
 
 def gamma_asymptotic(eps: float, rho: float, phi: PhiSpec) -> float:

@@ -6,12 +6,14 @@ checks passed, 1 a mathematical check failed, 2 usage or configuration
 error.  A usage error is one `error: ...` line on stderr, no traceback.
 That covers an argument argparse rejects, an invalid or non-finite option
 value, an output path that cannot be written, and an input outside a
-routine's numeric domain: eps_star(rho), which eps-star, bounds-table,
-plot and the localopt check evaluate, resolves its root only for rho
-above about 7e-4.  Inputs too large to hold in memory are usage errors
-too: a plot --rho-step that would write more than PLOT_MAX_ROWS rows, a
-verify grid of more than certify.MAX_GRID_POINTS (1,000,000) points and
-a brute --sample above sweeps.MAX_SAMPLE (100,000).  Output is text,
+routine's numeric domain: eps_star(rho), which eps-star, bounds-table
+and plot evaluate, resolves its root only for rho above about 7e-4, and
+the localopt check, which decides near functions by the sign of the root
+equation without eps_star, answers only for rho above about 2e-154.
+Inputs too large to hold in memory are usage errors too: a plot
+--rho-step that would write more than PLOT_MAX_ROWS rows, a verify grid
+of more than certify.MAX_GRID_POINTS (1,000,000) points and a brute
+--sample above sweeps.MAX_SAMPLE (100,000).  Output is text,
 JSON, or CSV; JSON writes null for a non-finite value, CSV always uses
 '.' as the decimal separator and every output file ends with a newline.
 """

@@ -308,10 +308,16 @@ def ck_check(n: int, rho: float, F: np.ndarray, tol: float = 1e-9) -> CheckResul
 def local_optimality_check(n: int, rho: float, F: np.ndarray,
                            tol: float = 1e-9) -> CheckResult:
     """Functions within eps_star(rho) of some dictator have 1-stability
-    at most the dictator value h((1-rho)/2)/2."""
+    at most the dictator value h((1-rho)/2)/2.
+
+    Each key 0..2^(n-1) is put within eps_star or not by the sign of the
+    root equation at its distance (`bounds.within_eps_star`), with no root
+    computed, so the check answers at every rho in (0, 1) above about
+    2e-154 and raises, naming rho, below it."""
     fam = _family(F, n)
+    N = 2 ** n
     # a key is 2^n times its distance, exactly
-    near = fam.keys.min(axis=1) / 2 ** n <= bounds.eps_star(rho)
+    near = bounds.within_eps_star(np.arange(N // 2 + 1) / N, rho)[fam.keys.min(axis=1)]
     dict_val = 0.5 * float(bounds.h((1.0 - rho) / 2.0))
     if near.any():
         stab1 = _phi_means(fam.codes[near], _code_values(n, rho),

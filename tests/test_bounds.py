@@ -516,6 +516,20 @@ def test_integrate_unit_x_log_x_with_inner_point():
     assert abs(_integrate_unit(lambda b: xlogy(b, b), (0.5,)) + 0.25) < 1e-14
 
 
+@pytest.mark.parametrize("fn, want", [
+    (lambda b: np.cos(3.0 * b), math.sin(3.0) / 3.0),
+    (lambda b: 1.0 / (1.0 + b), math.log(2.0)),
+    (lambda b: np.exp(-b * b), math.sqrt(math.pi) / 2.0 * math.erf(1.0)),
+], ids=["cos", "inverse", "gauss"])
+def test_integrate_unit_one_round_on_smooth_integrand(fn, want):
+    # the first round already splits each piece into _QUAD_SPLIT parts,
+    # which resolves an integrand smooth at the piece's ends
+    from noisestab.bounds import _integrate_unit
+    calls = []
+    value = _integrate_unit(lambda b: calls.append(b.size) or fn(b), ())
+    assert len(calls) == 1 and abs(value - want) < 1e-14, (calls, value - want)
+
+
 #: eps x rho grid of the Gamma accuracy and rounds tests below.
 GRADED_GRID = [(eps, rho) for eps in (1 / 32, 3 / 32, 5 / 16, 7 / 16, 1 / 2)
                for rho in (0.1, 0.5, 0.9)]
@@ -651,6 +665,39 @@ def test_eps_star_array_fails_closed_naming_first_unresolved_rho():
         ns.eps_star(np.array([0.5, 1e-5, 1e-4]))
     with pytest.raises(ValueError, match="eps_star requires rho in"):
         ns.eps_star(np.array([0.5, 1.0]))
+
+
+#: Every dictator-distance key k/2^n at n = 1..5, with repeats.
+ALL_KEYS = np.concatenate([np.arange(2 ** (n - 1) + 1) / 2 ** n for n in range(1, 6)])
+
+
+def test_within_eps_star_agrees_with_the_root():
+    # the sign of the root equation puts each key on the side of eps_star
+    # that comparing it with the bisected root does, wherever eps_star
+    # resolves
+    from noisestab.bounds import within_eps_star
+    rhos = np.concatenate([np.linspace(7.1e-4, 0.999, 400),
+                           np.geomspace(7.1e-4, 0.999, 400)])
+    for rho, root in zip(rhos.tolist(), ns.eps_star(rhos).tolist()):
+        assert within_eps_star(ALL_KEYS, rho).tolist() == (ALL_KEYS <= root).tolist(), rho
+
+
+@pytest.mark.parametrize("rho", [1e-5, 1e-9, 1e-150])
+def test_within_eps_star_below_eps_star_resolution(rho):
+    # eps_star tends to 1 - ln 2 as rho -> 0 (the rho^2 terms of the root
+    # equation give 2 (e - 1/2)^2 = 1/2 - 2 e ln 2); the nearest key at
+    # n <= 5, 5/16, lies 0.0057 above it
+    from noisestab.bounds import within_eps_star
+    assert within_eps_star(ALL_KEYS, rho).tolist() == (ALL_KEYS <= 1 - math.log(2)).tolist()
+
+
+def test_within_eps_star_fails_closed():
+    from noisestab.bounds import within_eps_star
+    with pytest.raises(RuntimeError, match=re.escape("rho=1e-300") + ".*2e-154"):
+        within_eps_star(ALL_KEYS, 1e-300)
+    for rho in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"requires rho in \(0, 1\)"):
+            within_eps_star(ALL_KEYS, rho)
 
 
 def test_bisect_root_errors_and_lanes():

@@ -264,6 +264,9 @@ _MISSING = "<unwritable>"  # replaced by a path under a missing directory
     ["verify", "--rho-hi", "1e300"],
     ["brute", "--n", "5", "--rho", "0.5", "--sample", "100000000", "--seed", "1",
      "--checks", "ck"],
+    ["brute", "--n", "2", "--rho", "1e-300", "--checks", "localopt"],
+    ["brute", "--n", "2", "--rho", "0", "--checks", "localopt"],
+    ["brute", "--n", "2", "--rho", "1", "--checks", "localopt"],
 ])
 def test_numeric_domain_failure_is_one_line_usage_error(argv, tmp_path, capsys):
     missing = str(tmp_path / "no" / "such" / "dir" / "out.txt")

@@ -478,6 +478,17 @@ def test_local_optimality_at_desk_scale():
             assert res.passed, res
 
 
+@pytest.mark.parametrize("rho", [1e-5, 1e-9, 1e-150])
+def test_local_optimality_below_eps_star_resolution(rho):
+    # eps_star cannot resolve its root here, but the near functions are
+    # decided without it: those within 1 - ln 2 of a dictator, its limit
+    n = 4
+    F = sweeps.balanced_supports(n)
+    res = sweeps.local_optimality_check(n, rho, F)
+    near = sweeps.dictator_distances(F, n).min(axis=1) <= 1 - math.log(2)
+    assert res.passed and res.tested == near.sum() == 5960, res
+
+
 def test_q_stability_both_directions_small_n():
     for n in range(1, 4):
         F = sweeps.balanced_supports(n)
