@@ -105,14 +105,21 @@ class BracketError(RuntimeError):
 _BISECT_MAX_ITER = 200
 
 
-def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
+def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12,
+                sign: Callable | None = None):
     """Guaranteed bracketing bisection; never a derivative-based step.
 
     Lane-wise over the broadcast shape of lo, hi and fn's values (fn maps
     an array of points to an array of values): each lane stops on its own,
     exactly as a one-lane call would.  A BracketError names the first lane
-    without a sign change; a 0-d result is a float.
+    without a sign change, with fn's values; a 0-d result is a float.
+
+    The bracket endpoints go through fn, the midpoints through `sign`
+    (default fn), of which only the sign and exact zeros are read: a
+    `sign` that agrees with fn on both, such as `_sign_filter`'s, gives
+    fn's roots bit for bit.
     """
+    sign = fn if sign is None else sign
     flo, fhi = fn(lo), fn(hi)
     lo, hi, flo, fhi = (np.array(a, dtype=float)
                         for a in np.broadcast_arrays(lo, hi, flo, fhi))
@@ -132,14 +139,54 @@ def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
         if not live.any():
             break
         mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
+        fmid = sign(mid)
         zero = fmid == 0.0
         same = (fmid < 0) == neg_lo
-        np.copyto(lo, mid, where=live & (same | zero))
-        np.copyto(hi, mid, where=live & (zero | ~same))
+        # np.where, not copyto(where=): a scattered mask copies ~3x faster
+        lo = np.where(live & (same | zero), mid, lo)
+        hi = np.where(live & (zero | ~same), mid, hi)
         live &= hi - lo > tol
     out = 0.5 * (lo + hi)
     return float(out) if out.ndim == 0 else out
+
+
+#: Relative margin of `_sign_filter`: about 4,500 ulp, against the few ulp
+#: by which numpy's SIMD logarithms move a root function's two sides.
+_FILTER_MARGIN = 1e-12
+
+
+def _sign_filter(exact: Callable, fast: Callable, *params) -> Callable:
+    """bisect_root's `sign` for the root function x -> exact(x, *params).
+
+    exact's value is A - B, and fast(x, *params) returns that pair (A, B)
+    computed with numpy's SIMD log / log1p in place of libm's, which they
+    match within 1 ulp.  A lane whose fast difference clears
+    _FILTER_MARGIN (|A| + |B|) has the sign of the exact one: the two paths
+    put A and B within a few ulp of each other, and the sign of a float
+    subtraction is exact.  Every other lane, nan included, is evaluated
+    again by exact on its own parameters, so the signs and exact zeros that
+    bisect_root reads are exact's (a floating-point filter, after
+    Shewchuk's adaptive-precision predicates).  The params are lane arrays
+    (or scalars) broadcasting against x.  A one-lane x goes to exact
+    directly: there numpy's per-call cost outweighs the libm logs it saves.
+    """
+    def sign(x):
+        if np.size(x) == 1:
+            return exact(x, *params)
+        a, b = fast(x, *params)
+        out = a - b
+        near = ~(np.abs(out) > _FILTER_MARGIN * (np.abs(a) + np.abs(b)))
+        if near.any():
+            lanes = (np.broadcast_to(p, out.shape)[near] for p in (x, *params))
+            out[near] = exact(*lanes)
+        return out
+    return sign
+
+
+def _h_fast(t):
+    """h(t) with numpy's log, within a few ulp of h's xlogy on (0, 1); nan
+    elsewhere (no clip), which `_sign_filter` hands to the exact h."""
+    return t * np.log(t) + (1.0 - t) * np.log(1.0 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +712,21 @@ def gamma_one(eps: float, rho: float) -> float:
             + (0.5 - e) * rho * rho * float(h(c)))
 
 
-def _eps_star_equation(rho):
-    """e -> h((1-rho)/2 + rho e) - (1 + 2 rho^2 e / (1-rho^2)) h((1-rho)/2),
-    lane-wise in rho."""
+def _eps_star_params(rho):
+    """The lane parameters (c, rho, h(c), coef) of eps_star's root equation,
+    c = (1-rho)/2 and coef = 2 rho^2/(1-rho^2), lane-wise in rho."""
     c = (1.0 - rho) / 2.0
-    hc = h(c)
-    coef = 2.0 * rho * rho / (1.0 - rho * rho)
-    return lambda e: h(c + rho * e) - (1.0 + coef * e) * hc
+    return c, rho, h(c), 2.0 * rho * rho / (1.0 - rho * rho)
+
+
+def _eps_star_value(e, c, rho, hc, coef):
+    """h(c + rho e) - (1 + coef e) h(c), eps_star's root equation."""
+    return h(c + rho * e) - (1.0 + coef * e) * hc
+
+
+def _eps_star_sides(e, c, rho, hc, coef):
+    """The two sides of `_eps_star_value`, h(c + rho e) by numpy's log."""
+    return _h_fast(c + rho * e), (1.0 + coef * e) * hc
 
 
 def eps_star(rho):
@@ -687,7 +742,11 @@ def eps_star(rho):
     rho = np.asarray(rho, dtype=float)
     if not np.all((0.0 < rho) & (rho < 1.0)):
         raise ValueError("eps_star requires rho in (0, 1)")
-    fn = _eps_star_equation(rho)
+    params = _eps_star_params(rho)
+
+    def fn(e):
+        return _eps_star_value(e, *params)
+
     # fn vanishes to second order at 0, so at very small rho the value at
     # the nominal left anchor sits below the rounding floor; walk the
     # anchor up until the sign is resolved, never guessing a root
@@ -703,7 +762,10 @@ def eps_star(rho):
     root = np.full(rho.shape, np.nan)
     ok = ~unresolved
     if ok.any():
-        root[ok] = bisect_root(_eps_star_equation(rho[ok]), lo[ok], hi, tol=1e-12)
+        lanes = _eps_star_params(rho[ok])
+        root[ok] = bisect_root(
+            lambda e: _eps_star_value(e, *lanes), lo[ok], hi, tol=1e-12,
+            sign=_sign_filter(_eps_star_value, _eps_star_sides, *lanes))
     # fn is O(rho^2): a small residual proves nothing, a sign change does
     unresolved |= ~((fn(root - 1e-9) < 0.0) & (0.0 < fn(root + 1e-9)))
     if unresolved.any():
@@ -724,7 +786,8 @@ def _h_centered(x):
     `within_eps_star` reads eps_star's root equation through it.  eps_star
     itself moves onto it at the certificate's next re-pin (ROADMAP,
     "eps_star on all of (0, 1)"), which moves two grid roots inside the
-    bisection's 1e-12 stop; `_eps_star_equation` is then deleted."""
+    bisection's 1e-12 stop; `_eps_star_value` and `_eps_star_sides`
+    then give way to it."""
     return x * np.log1p(2.0 * x) - x * np.log1p(-2.0 * x) + 0.5 * np.log1p(-4.0 * x * x)
 
 

@@ -19,6 +19,18 @@ everywhere in between.  Floating point is plain double precision; the
 slack delta absorbs rounding, every root carries a residual check, and
 evaluation order is fixed so certificates are bit-reproducible.
 
+Every logarithm a certificate value depends on is libm's (math.log1p,
+scipy's xlogy), which numpy's SIMD log and log1p miss by 1 ulp on a few
+percent of inputs.  The bisections behind eps_star and t_rho read only the
+sign of their root function A - B at a midpoint, and take it from numpy's
+logs first (`bounds._sign_filter`): the two paths put A and B within a few
+ulp of each other, so where the fast difference clears 1e-12 (|A| + |B|),
+about 4,500 ulp, its sign is the exact one, as the sign of a float
+subtraction is exact.  Only the lanes inside that margin are evaluated
+again with libm.  Every midpoint sign, and so every root, is the one the
+libm arithmetic gives; the bracket ends, residual and sign-change checks
+use libm throughout.
+
 The grid is evaluated in lanes: each stage takes an array of rho (one
 lane per grid point) and runs its root searches in lockstep, every lane
 stopping on its own.  A lane performs exactly the arithmetic of the
@@ -38,7 +50,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import __version__
-from .bounds import BracketError, bisect_root, eps_star, h
+from .bounds import BracketError, _sign_filter, bisect_root, eps_star, h
 
 #: Default certified interval and grid constants.
 RHO_LO = 0.46
@@ -92,7 +104,9 @@ def phi_ratio(s):
 
 def phi_ratio_prime(s):
     """phi'(s) = -ln(1-s)/s^2, with math.log1p in every lane (numpy's SIMD
-    log1p differs from it in the last bit for some inputs)."""
+    log1p differs from it in the last bit for some inputs).  t_rho's
+    bisection takes its midpoint signs from numpy's log1p and calls this
+    only on the lanes near its root (see the module docstring)."""
     s = np.asarray(s, dtype=float)
     if not ((0.0 < s) & (s < 1.0)).all():
         raise ValueError("phi_ratio_prime requires s in (0, 1)")
@@ -155,10 +169,16 @@ def _max_omega_on(b_hi):
     def grid_at(k):  # the grid of [0, b_hi) with b_hi appended, at index k
         return np.where(k < n, full_grid[np.minimum(k, n - 1)], lanes)
 
-    cell = np.stack([grid_at(np.maximum(i - 1, 0)), grid_at(np.minimum(i + 1, n))], 1)
-    cells, which = np.unique(cell, axis=0, return_inverse=True)
-    refined = np.array([_golden_max(omega, lo, hi) for lo, hi in cells.tolist()])
-    arg, value = refined.reshape(-1, 2)[which.ravel()].T
+    lo, hi = grid_at(np.maximum(i - 1, 0)), grid_at(np.minimum(i + 1, n))
+    # group equal (lo, hi) cells: sort them, and a new cell starts a run
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    starts = np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
+    refined = np.array([_golden_max(omega, a, b) for a, b in
+                        zip(lo[starts].tolist(), hi[starts].tolist())])
+    which = np.empty(len(order), dtype=int)
+    which[order] = np.cumsum(starts) - 1
+    arg, value = refined.reshape(-1, 2)[which].T
     # Python's max over (value, arg) pairs, the refined cell's first; where
     # omega(b_hi) ties the grid maximum, the endpoint stands in for the grid
     # winner, as its larger argument would win that tie
@@ -185,14 +205,26 @@ def t_rho(rho):
     return _t_rho_given(rho, om)
 
 
+def _t_rho_value(t, a_coef, target):
+    """-(1/2) a_coef phi'((1-t)/2) - target, t_rho's root equation."""
+    return -0.5 * a_coef * phi_ratio_prime((1.0 - t) / 2.0) - target
+
+
+def _t_rho_sides(t, a_coef, target):
+    """The two sides of `_t_rho_value`, phi' by numpy's log1p."""
+    s = (1.0 - t) / 2.0
+    return -0.5 * a_coef * (-np.log1p(-s) / (s * s)), target
+
+
 def _t_rho_given(rho, om):
     a_coef = 1.0 + rho - 4.0 * rho * rho * om
     target = phi_ratio((1.0 - rho) / 2.0)
 
     def fn(t):
-        return -0.5 * a_coef * phi_ratio_prime((1.0 - t) / 2.0) - target
+        return _t_rho_value(t, a_coef, target)
 
-    root = bisect_root(fn, 1e-12, 1.0 - 1e-12, tol=1e-12)
+    root = bisect_root(fn, 1e-12, 1.0 - 1e-12, tol=1e-12,
+                       sign=_sign_filter(_t_rho_value, _t_rho_sides, a_coef, target))
     bad = np.abs(fn(root)) >= 1e-9
     if np.any(bad):
         first = np.broadcast_to(rho, bad.shape).flat[np.flatnonzero(bad)[0]]
@@ -410,7 +442,8 @@ def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
         failure = f"grid evaluation failed: {exc}"
 
     if rows:
-        worst_rho, worst_theta = max(rows, key=lambda row: row[1])[:2]
+        worst = int(np.argmax(pt.theta))  # the first maximum, as max() takes
+        worst_rho, worst_theta = float(pt.rho[worst]), float(pt.theta[worst])
     else:
         worst_theta, worst_rho = math.inf, rho_lo
 
@@ -425,8 +458,7 @@ def verify_interval(rho_lo: float = RHO_LO, rho_hi: float = RHO_HI,
     # secant between adjacent grid values equals theta' somewhere in the
     # gap, so a secant above M falsifies the covering argument.
     if failure is None and len(rows) > 1:
-        worst_slope = max(
-            abs(b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(rows, rows[1:]))
+        worst_slope = float(np.max(np.abs(np.diff(pt.theta)) / np.diff(pt.rho)))
         if worst_slope > lipschitz_m:
             passed = False
             failure = (f"observed |theta| secant slope {worst_slope} exceeds "
@@ -463,8 +495,9 @@ def certificate_to_json(cert: Certificate) -> str:
     lines = [f'  "{k}": {_fmt(v)}' for k, v in fields]
     if cert.failure_reason is not None:
         lines.append(f'  "failure_reason": {_fmt(cert.failure_reason)}')
-    # evaluate_point raises before it returns a non-finite entry
-    row = "    [" + ", ".join(["{:.17g}"] * 5) + "]"
-    rows = ",\n".join(row.format(*entry) for entry in cert.per_point)
+    # evaluate_point raises before it returns a non-finite entry; % does
+    # format()'s conversion of each float
+    rows = ",\n".join("    [%.17g, %.17g, %.17g, %.17g, %.17g]" % entry
+                      for entry in cert.per_point)
     lines.append('  "per_point": [\n' + rows + "\n  ]")
     return "{\n" + ",\n".join(lines) + "\n}\n"

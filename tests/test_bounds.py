@@ -724,6 +724,89 @@ def test_bisect_root_errors_and_lanes():
     assert isinstance(bisect_root(lambda x: x - 0.3, 0.0, 1.0), float)
 
 
+def test_bracket_error_reports_fn_not_sign():
+    # the endpoints go through fn, so the message is fn's even when the
+    # midpoints go through another sign function
+    from noisestab.bounds import BracketError, bisect_root
+    with pytest.raises(BracketError) as exc:
+        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0,
+                    sign=lambda x: np.full(np.shape(x), -5.0))
+    assert str(exc.value) == "no sign change on [-1.0, 1.0]: f=2.0, 2.0"
+
+
+def test_sign_filter_refines_near_zero_and_nan_lanes():
+    # a fast pair 2 ulp off the exact one near the root, nan on one lane:
+    # the filter returns exact's sign and zeros on every lane, and calls
+    # exact only on the lanes near the root and the nan lane
+    from noisestab.bounds import _sign_filter
+    calls = []
+
+    def exact(x, p):
+        calls.append(np.size(x))
+        return x - p
+
+    def fast(x, p):
+        a = np.nextafter(np.nextafter(x, np.inf), np.inf)
+        return np.where(x == 0.25, np.nan, a), p
+
+    p = np.full(7, 0.3)
+    x = np.array([0.0, 0.25, 0.3 - 1e-16, 0.3, 0.3 + 1e-16, 0.6, 1.0])
+    got = _sign_filter(exact, fast, p)(x)
+    assert np.sign(got).tolist() == np.sign(x - p).tolist()
+    assert got[1:5].tolist() == (x - p)[1:5].tolist()
+    assert calls == [4]
+    # one lane goes to exact directly
+    assert float(_sign_filter(exact, fast, 0.3)(0.3)) == 0.0
+    assert calls == [4, 1]
+
+
+def _ulps(a, b):
+    """|a - b| in units in the last place, for finite a, b of one sign."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+def test_numpy_logs_within_4_ulp_of_libm_on_the_bisection_ranges():
+    # the headroom of _sign_filter's 1e-12 margin: h's arguments t and
+    # 1 - t for t in [5e-9, 1/2], and phi''s log1p(-s) for s in (0, 1/2)
+    rng = np.random.default_rng(20260419)
+    t = np.exp(rng.uniform(math.log(5e-9), math.log(0.5), 200_000))
+    for x in (t, 1.0 - t):
+        ref = np.array([math.log(v) for v in x.tolist()])
+        assert _ulps(np.log(x), ref).max() <= 4
+    s = -np.exp(rng.uniform(math.log(5e-13), math.log(0.5), 200_000))
+    ref = np.array([math.log1p(v) for v in s.tolist()])
+    assert _ulps(np.log1p(s), ref).max() <= 4
+
+
+def test_filtered_eps_star_bisection_matches_the_exact_one(monkeypatch):
+    # the filtered bisection against bisect_root on the exact function
+    # alone, over eps_star's resolvable range: bit-identical roots
+    from noisestab import bounds
+    rng = np.random.default_rng(7)
+    rhos = np.concatenate([np.exp(rng.uniform(math.log(7.1e-4), 0.0, 1500)),
+                           1.0 - np.exp(rng.uniform(math.log(1e-6), 0.0, 500)),
+                           [7.1e-4, 1.0 - 1e-6]])
+    rhos = rhos[(7.1e-4 <= rhos) & (rhos <= 1.0 - 1e-6)]
+    exact_lanes = []
+    sign_filter = bounds._sign_filter
+
+    def counting(exact, fast, *params):
+        def exact_counted(x, *p):
+            exact_lanes.append(np.size(x))
+            return exact(x, *p)
+        return sign_filter(exact_counted, fast, *params)
+
+    monkeypatch.setattr(bounds, "_sign_filter", counting)
+    filtered = bounds.eps_star(rhos)
+    # the filter refines a few of the ~40 midpoints of a lane
+    assert 0 < sum(exact_lanes) < 20 * len(rhos)
+    monkeypatch.setattr(bounds, "_sign_filter",
+                        lambda exact, fast, *p: lambda x: exact(x, *p))
+    reference = bounds.eps_star(rhos)
+    assert filtered.tobytes() == reference.tobytes()
+    assert [bounds.eps_star(r) for r in rhos[:20].tolist()] == filtered[:20].tolist()
+
+
 def test_eps_star_lower_bound_on_certified_interval():
     rhos = np.arange(0.46, 0.914 + 1e-12, 0.001)
     values = [ns.eps_star(float(r)) for r in rhos]

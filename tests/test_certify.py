@@ -1,5 +1,6 @@
 """Certificate pipeline: omega, t_rho, theta, upsilon, grid verification."""
 
+import hashlib
 import json
 import math
 
@@ -196,6 +197,32 @@ def test_t_rho_published_value_and_residual():
     residual = -0.5 * a_coef * ns.phi_ratio_prime((1 - tr) / 2) \
         - ns.phi_ratio((1 - RHO_STAR) / 2)
     assert abs(residual) < 1e-9
+
+
+def test_filtered_t_rho_bisection_matches_the_exact_one(monkeypatch):
+    # the filtered bisection against bisect_root on the exact function
+    # alone: bit-identical roots, with few lanes evaluated exactly
+    from noisestab import certify
+    rhos = np.sort(np.random.default_rng(11).uniform(0.05, 0.99, 2000))
+    om, _ = ns.omega_max(rhos)
+    exact_lanes = []
+    sign_filter = certify._sign_filter
+
+    def counting(exact, fast, *params):
+        def exact_counted(x, *p):
+            exact_lanes.append(np.size(x))
+            return exact(x, *p)
+        return sign_filter(exact_counted, fast, *params)
+
+    monkeypatch.setattr(certify, "_sign_filter", counting)
+    filtered = certify._t_rho_given(rhos, om)
+    # the filter refines a few of the ~40 midpoints of a lane
+    assert 0 < sum(exact_lanes) < 5 * len(rhos)
+    monkeypatch.setattr(certify, "_sign_filter",
+                        lambda exact, fast, *p: lambda x: exact(x, *p))
+    reference = certify._t_rho_given(rhos, om)
+    assert filtered.tobytes() == reference.tobytes()
+    assert ns.t_rho(float(rhos[0])) == filtered[0]
 
 
 def test_t_rho_range_on_certified_interval():
@@ -396,6 +423,17 @@ def test_verify_failure_reason_names_first_failing_point():
     cert = ns.verify_interval(0.99, 1.0)
     assert not cert.passed
     assert cert.failure_reason == "grid evaluation failed: eps_star requires rho in (0, 1)"
+
+
+def test_certificate_bytes_pinned():
+    # the default certificate and the [0.9, 0.914] smoke interval, byte for
+    # byte: a change to any arithmetic on the path moves these digests
+    def digest(cert):
+        return hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()
+    assert digest(ns.verify_interval()) == (
+        "98eb1ac6f94bd2d101a4c3543cba44b2684627d77b65015fe57418c786781304")
+    assert digest(ns.verify_interval(0.9, RHO_STAR)) == (
+        "144c2a3e0993e380ee0ac1d09085e81e7b8e4765808da0a7ce77b944c42802c6")
 
 
 def test_certificate_json_schema():
