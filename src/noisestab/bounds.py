@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri, xlogy
 
-from .cube import StepSpectrum, noise_kernel
+from .cube import StepSpectrum, _require_unit, noise_kernel
 
 _CLAMP_LO = 1e-300
 _CLAMP_HI = 1.0 - 1e-16
@@ -67,12 +67,6 @@ def _unit(t):
     Bit for bit np.clip (nan and -0.0 kept), at less cost on the small
     arrays of a quadrature round."""
     return np.minimum(1.0, np.maximum(0.0, t))
-
-
-def _require_unit(name: str, x: float) -> None:
-    """The domain check of a probability argument (nan fails it)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def h(t):
@@ -86,9 +80,12 @@ def q_log(t: float, q: float) -> float:
 
     Evaluated through expm1 so the q -> 1 limit is seamless; |q-1| below
     1e-9 is routed to the logarithm with its quadratic series correction.
+    A nan t or q raises ValueError, as do t <= 0 and an infinite q.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("q_log requires t > 0")
+    if not math.isfinite(q):
+        raise ValueError("q_log requires a finite q")
     lt = math.log(t)
     if q == 1.0:
         return lt
@@ -105,21 +102,17 @@ class BracketError(RuntimeError):
 _BISECT_MAX_ITER = 200
 
 
-def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12,
-                sign: Callable | None = None):
+def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
     """Guaranteed bracketing bisection; never a derivative-based step.
 
     Lane-wise over the broadcast shape of lo, hi and fn's values (fn maps
     an array of points to an array of values): each lane stops on its own,
     exactly as a one-lane call would.  A BracketError names the first lane
-    without a sign change, with fn's values; a 0-d result is a float.
-
-    The bracket endpoints go through fn, the midpoints through `sign`
-    (default fn), of which only the sign and exact zeros are read: a
-    `sign` that agrees with fn on both, such as `_sign_filter`'s, gives
-    fn's roots bit for bit.
+    without a sign change, with fn's values; a 0-d result is a float.  At
+    the midpoints only the sign of fn and its exact zeros are read, so an
+    fn that agrees with another on both, such as a sign filter's, gives
+    that function's roots bit for bit.
     """
-    sign = fn if sign is None else sign
     flo, fhi = fn(lo), fn(hi)
     lo, hi, flo, fhi = (np.array(a, dtype=float)
                         for a in np.broadcast_arrays(lo, hi, flo, fhi))
@@ -139,7 +132,7 @@ def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12,
         if not live.any():
             break
         mid = 0.5 * (lo + hi)
-        fmid = sign(mid)
+        fmid = fn(mid)
         zero = fmid == 0.0
         same = (fmid < 0) == neg_lo
         # np.where, not copyto(where=): a scattered mask copies ~3x faster
@@ -148,45 +141,6 @@ def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12,
         live &= hi - lo > tol
     out = 0.5 * (lo + hi)
     return float(out) if out.ndim == 0 else out
-
-
-#: Relative margin of `_sign_filter`: about 4,500 ulp, against the few ulp
-#: by which numpy's SIMD logarithms move a root function's two sides.
-_FILTER_MARGIN = 1e-12
-
-
-def _sign_filter(exact: Callable, fast: Callable, *params) -> Callable:
-    """bisect_root's `sign` for the root function x -> exact(x, *params).
-
-    exact's value is A - B, and fast(x, *params) returns that pair (A, B)
-    computed with numpy's SIMD log / log1p in place of libm's, which they
-    match within 1 ulp.  A lane whose fast difference clears
-    _FILTER_MARGIN (|A| + |B|) has the sign of the exact one: the two paths
-    put A and B within a few ulp of each other, and the sign of a float
-    subtraction is exact.  Every other lane, nan included, is evaluated
-    again by exact on its own parameters, so the signs and exact zeros that
-    bisect_root reads are exact's (a floating-point filter, after
-    Shewchuk's adaptive-precision predicates).  The params are lane arrays
-    (or scalars) broadcasting against x.  A one-lane x goes to exact
-    directly: there numpy's per-call cost outweighs the libm logs it saves.
-    """
-    def sign(x):
-        if np.size(x) == 1:
-            return exact(x, *params)
-        a, b = fast(x, *params)
-        out = a - b
-        near = ~(np.abs(out) > _FILTER_MARGIN * (np.abs(a) + np.abs(b)))
-        if near.any():
-            lanes = (np.broadcast_to(p, out.shape)[near] for p in (x, *params))
-            out[near] = exact(*lanes)
-        return out
-    return sign
-
-
-def _h_fast(t):
-    """h(t) with numpy's log, within a few ulp of h's xlogy on (0, 1); nan
-    elsewhere (no clip), which `_sign_filter` hands to the exact h."""
-    return t * np.log(t) + (1.0 - t) * np.log(1.0 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -712,21 +666,16 @@ def gamma_one(eps: float, rho: float) -> float:
             + (0.5 - e) * rho * rho * float(h(c)))
 
 
-def _eps_star_params(rho):
-    """The lane parameters (c, rho, h(c), coef) of eps_star's root equation,
-    c = (1-rho)/2 and coef = 2 rho^2/(1-rho^2), lane-wise in rho."""
+def _eps_star_equation(rho):
+    """eps_star's root function e -> h(c + rho e) - (1 + coef e) h(c), with
+    c = (1-rho)/2 and coef = 2 rho^2/(1-rho^2), lane-wise in rho; h(c) and
+    coef are computed once per lane."""
     c = (1.0 - rho) / 2.0
-    return c, rho, h(c), 2.0 * rho * rho / (1.0 - rho * rho)
+    hc, coef = h(c), 2.0 * rho * rho / (1.0 - rho * rho)
 
-
-def _eps_star_value(e, c, rho, hc, coef):
-    """h(c + rho e) - (1 + coef e) h(c), eps_star's root equation."""
-    return h(c + rho * e) - (1.0 + coef * e) * hc
-
-
-def _eps_star_sides(e, c, rho, hc, coef):
-    """The two sides of `_eps_star_value`, h(c + rho e) by numpy's log."""
-    return _h_fast(c + rho * e), (1.0 + coef * e) * hc
+    def fn(e):
+        return h(c + rho * e) - (1.0 + coef * e) * hc
+    return fn
 
 
 def eps_star(rho):
@@ -742,11 +691,7 @@ def eps_star(rho):
     rho = np.asarray(rho, dtype=float)
     if not np.all((0.0 < rho) & (rho < 1.0)):
         raise ValueError("eps_star requires rho in (0, 1)")
-    params = _eps_star_params(rho)
-
-    def fn(e):
-        return _eps_star_value(e, *params)
-
+    fn = _eps_star_equation(rho)
     # fn vanishes to second order at 0, so at very small rho the value at
     # the nominal left anchor sits below the rounding floor; walk the
     # anchor up until the sign is resolved, never guessing a root
@@ -762,10 +707,7 @@ def eps_star(rho):
     root = np.full(rho.shape, np.nan)
     ok = ~unresolved
     if ok.any():
-        lanes = _eps_star_params(rho[ok])
-        root[ok] = bisect_root(
-            lambda e: _eps_star_value(e, *lanes), lo[ok], hi, tol=1e-12,
-            sign=_sign_filter(_eps_star_value, _eps_star_sides, *lanes))
+        root[ok] = bisect_root(_eps_star_equation(rho[ok]), lo[ok], hi, tol=1e-12)
     # fn is O(rho^2): a small residual proves nothing, a sign change does
     unresolved |= ~((fn(root - 1e-9) < 0.0) & (0.0 < fn(root + 1e-9)))
     if unresolved.any():
@@ -786,8 +728,7 @@ def _h_centered(x):
     `within_eps_star` reads eps_star's root equation through it.  eps_star
     itself moves onto it at the certificate's next re-pin (ROADMAP,
     "eps_star on all of (0, 1)"), which moves two grid roots inside the
-    bisection's 1e-12 stop; `_eps_star_value` and `_eps_star_sides`
-    then give way to it."""
+    bisection's 1e-12 stop; `_eps_star_equation` then gives way to it."""
     return x * np.log1p(2.0 * x) - x * np.log1p(-2.0 * x) + 0.5 * np.log1p(-4.0 * x * x)
 
 
@@ -831,10 +772,11 @@ def gamma_asymptotic(eps: float, rho: float, phi: PhiSpec) -> float:
     Gamma(eps) >= gamma_asymptotic(eps) on all of (0, 1/2): integrating the
     tangent lines of the convex Phi at cp and cm against the two mixture
     profiles, whose masses follow from int theta_alpha = alpha, gives
-    exactly this line.
+    exactly this line.  rho outside [0, 1], nan included, raises ValueError.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
+    _require_unit("rho", rho)
     if phi.deriv is None:
         raise ValueError("gamma_asymptotic needs the derivative of phi")
     cp, cm = (1.0 + rho) / 2.0, (1.0 - rho) / 2.0

@@ -21,15 +21,17 @@ evaluation order is fixed so certificates are bit-reproducible.
 
 Every logarithm a certificate value depends on is libm's (math.log1p,
 scipy's xlogy), which numpy's SIMD log and log1p miss by 1 ulp on a few
-percent of inputs.  The bisections behind eps_star and t_rho read only the
-sign of their root function A - B at a midpoint, and take it from numpy's
-logs first (`bounds._sign_filter`): the two paths put A and B within a few
-ulp of each other, so where the fast difference clears 1e-12 (|A| + |B|),
-about 4,500 ulp, its sign is the exact one, as the sign of a float
-subtraction is exact.  Only the lanes inside that margin are evaluated
-again with libm.  Every midpoint sign, and so every root, is the one the
-libm arithmetic gives; the bracket ends, residual and sign-change checks
-use libm throughout.
+percent of inputs.  t_rho's bisection reads only the sign of its root
+function A - B at a midpoint, and takes it from numpy's log1p first
+(`_sign_filter`): the two paths put A and B within a few ulp of each
+other, so where the fast difference clears 1e-12 (|A| + |B|), about 4,500
+ulp, its sign is the exact one, as the sign of a float subtraction is
+exact.  Only the lanes inside that margin are evaluated again with libm.
+Every midpoint sign, and so every root, is the one the libm arithmetic
+gives; the bracket ends and the residual check use libm throughout.
+eps_star's bisection is not filtered: its h is scipy's xlogy ufunc, and
+its root function's O(rho^2) slope puts most lanes inside the margin in
+its last steps.
 
 The grid is evaluated in lanes: each stage takes an array of rho (one
 lane per grid point) and runs its root searches in lockstep, every lane
@@ -50,7 +52,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import __version__
-from .bounds import BracketError, _sign_filter, bisect_root, eps_star, h
+from .bounds import BracketError, bisect_root, eps_star, h
 
 #: Default certified interval and grid constants.
 RHO_LO = 0.46
@@ -70,10 +72,11 @@ _OMEGA_STEP = 1e-5
 
 def varphi(t):
     """min of the two concentration-function bounds, folded to t <= 1/2:
-    2 t^2 ln(1/t) against the two-branch linear-programming bound."""
+    2 t^2 ln(1/t) against the two-branch linear-programming bound.  t
+    outside [0, 1], nan included, raises ValueError."""
     t = np.asarray(t, dtype=float)
     tt = np.minimum(t, 1.0 - t)
-    if np.any(tt < -1e-12):
+    if not np.all(tt >= -1e-12):
         raise ValueError("varphi requires t in [0, 1]")
     tt = np.clip(tt, 0.0, 0.5)
     curve = -2.0 * xlogy(tt * tt, np.where(tt > 0.0, tt, 1.0))
@@ -83,9 +86,10 @@ def varphi(t):
 
 
 def omega(beta):
-    """min{beta^2 + varphi(1/2 - beta), (1 + sqrt(1 + 4(pi - sqrt(2 pi)) beta))^2 / (8 pi)}."""
+    """min{beta^2 + varphi(1/2 - beta), (1 + sqrt(1 + 4(pi - sqrt(2 pi)) beta))^2 / (8 pi)};
+    beta outside [0, 1/2], nan included, raises ValueError."""
     beta = np.asarray(beta, dtype=float)
-    if np.any((beta < -1e-12) | (beta > 0.5 + 1e-12)):
+    if not np.all((beta >= -1e-12) & (beta <= 0.5 + 1e-12)):
         raise ValueError("omega requires beta in [0, 1/2]")
     first = beta * beta + varphi(0.5 - beta)
     second = (1.0 + np.sqrt(1.0 + _OMEGA_COEF * beta)) ** 2 / (8.0 * math.pi)
@@ -216,16 +220,47 @@ def _t_rho_sides(t, a_coef, target):
     return -0.5 * a_coef * (-np.log1p(-s) / (s * s)), target
 
 
+#: Relative margin of `_sign_filter`: about 4,500 ulp, against the few ulp
+#: by which numpy's SIMD logarithms move a root function's two sides.
+_FILTER_MARGIN = 1e-12
+
+
+def _sign_filter(exact, fast, *params):
+    """A root function for bisect_root with the signs and exact zeros of
+    x -> exact(x, *params).
+
+    exact's value is A - B, and fast(x, *params) returns that pair (A, B)
+    computed with numpy's SIMD log / log1p in place of libm's, which they
+    match within 1 ulp.  A lane whose fast difference clears
+    _FILTER_MARGIN (|A| + |B|) has the sign of the exact one: the two paths
+    put A and B within a few ulp of each other, and the sign of a float
+    subtraction is exact.  Every other lane, nan included, is evaluated
+    again by exact on its own parameters (a floating-point filter, after
+    Shewchuk's adaptive-precision predicates).  The params are lane arrays
+    (or scalars) broadcasting against x.  A one-lane x, such as a scalar
+    bracket end against array params, goes to exact directly and gets
+    exact's value on every lane: there numpy's per-call cost outweighs the
+    libm logs it saves.
+    """
+    def sign(x):
+        if np.size(x) == 1:
+            return exact(x, *params)
+        a, b = fast(x, *params)
+        out = a - b
+        near = ~(np.abs(out) > _FILTER_MARGIN * (np.abs(a) + np.abs(b)))
+        if near.any():
+            lanes = (np.broadcast_to(p, out.shape)[near] for p in (x, *params))
+            out[near] = exact(*lanes)
+        return out
+    return sign
+
+
 def _t_rho_given(rho, om):
     a_coef = 1.0 + rho - 4.0 * rho * rho * om
     target = phi_ratio((1.0 - rho) / 2.0)
-
-    def fn(t):
-        return _t_rho_value(t, a_coef, target)
-
-    root = bisect_root(fn, 1e-12, 1.0 - 1e-12, tol=1e-12,
-                       sign=_sign_filter(_t_rho_value, _t_rho_sides, a_coef, target))
-    bad = np.abs(fn(root)) >= 1e-9
+    root = bisect_root(_sign_filter(_t_rho_value, _t_rho_sides, a_coef, target),
+                       1e-12, 1.0 - 1e-12, tol=1e-12)
+    bad = np.abs(_t_rho_value(root, a_coef, target)) >= 1e-9
     if np.any(bad):
         first = np.broadcast_to(rho, bad.shape).flat[np.flatnonzero(bad)[0]]
         raise RuntimeError(f"t_rho residual too large at rho={float(first)}")

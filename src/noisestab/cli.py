@@ -184,6 +184,8 @@ def cmd_gamma(args) -> int:
             if args.q is None:
                 raise ValueError("--phi q-sym/q-asym needs --q")
             phi = factory(args.q)
+        elif args.q is not None:
+            raise ValueError("--phi one-sym/one-asym takes no --q")
         else:
             phi = factory()
         value = bounds.gamma_phi(args.eps, args.rho, phi)

@@ -37,6 +37,13 @@ class DimensionError(ValueError):
     """Cube dimension too large for exhaustive storage or enumeration."""
 
 
+def _require_unit(name: str, x: float) -> None:
+    """The domain check of a probability or correlation argument (nan
+    fails it)."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """A {0,1}-valued function on the n-cube, stored as its support set."""
@@ -213,8 +220,7 @@ def noise_apply(f: BooleanFunction, rho: float, route: str = "kernel") -> CubeFi
     weights ((1+rho)/2)^{n-d} ((1-rho)/2)^d by Hamming distance d;
     route="fourier" contracts the Fourier expansion by rho^{|S|}.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    _require_unit("rho", rho)
     fv = f.values()
     if route == "kernel":
         vals = noise_kernel(f.n, rho) @ fv
@@ -339,6 +345,7 @@ def max_noise_stability(n: int, alpha: float, beta: float, rho: float) -> float:
     """Exhaustive max of int phi T_rho f dmu over Boolean pairs with
     mu(f) = alpha, mu(phi) = beta.  For each f the optimal phi keeps the
     beta*2^n points where T_rho f is largest (Neyman-Pearson)."""
+    _require_unit("rho", rho)
     N = 2 ** n
     ka, kb = alpha * N, beta * N
     if abs(ka - round(ka)) > 1e-9 or abs(kb - round(kb)) > 1e-9:
@@ -409,6 +416,7 @@ def _coordinate_noise(values: np.ndarray, n: int, i: int, rho: float) -> np.ndar
 
 def noise_apply_subset(values: np.ndarray, n: int, S: Sequence[int], rho: float) -> np.ndarray:
     """Noise operator acting only on the coordinates in S."""
+    _require_unit("rho", rho)
     out = np.asarray(values, dtype=float)
     for i in S:
         out = _coordinate_noise(out, n, i, rho)
@@ -448,6 +456,7 @@ def restrict(f: BooleanFunction, i: int):
 def restrict_and_mix(f: BooleanFunction, i: int, rho: float):
     """The mixed restrictions g_+/g_- on the (n-1)-cube, satisfying
     T_rho f(x) = T_rho^{(n-1)} g_{sign(x_i)}(x without coordinate i)."""
+    _require_unit("rho", rho)
     f_plus, f_minus = restrict(f, i)
     vp, vm = f_plus.values(), f_minus.values()
     cp, cm = (1 + rho) / 2, (1 - rho) / 2

@@ -343,7 +343,7 @@ def run_checks(n: int, rhos: Sequence[float],
                sample: int | None = None, seed: int | None = None):
     """Run the named checks for each rho over all balanced functions at
     dimension n (or a seeded sample when `sample` is given).  n = 5 needs
-    a sample, and a sample needs a seed."""
+    a sample, a sample needs a seed, and a seed needs a sample."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must lie in 1..{MAX_N}")
     if len(checks) == 0:
@@ -363,6 +363,8 @@ def run_checks(n: int, rhos: Sequence[float],
         if seed is None:
             raise ValueError("sampling requires a seed for reproducibility")
         F = sampled_balanced_supports(n, sample, seed)
+    elif seed is not None:
+        raise ValueError("a seed applies only to a sample; give a sample too")
     else:
         F = balanced_supports(n)
     results = []

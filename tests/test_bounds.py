@@ -451,6 +451,10 @@ def test_gamma_q_closed_forms():
     lambda: ns.phi_q_symmetric(-1.0),
     lambda: ns.borell_bound(math.nan, 0.0, ns.phi_one_symmetric()),
     lambda: ns.borell_bound(math.nan, 0.5, ns.phi_one_symmetric()),
+    lambda: ns.q_log(math.nan, 2.0),
+    lambda: ns.q_log(0.5, math.nan),
+    lambda: ns.gamma_asymptotic(0.1, math.nan, ns.phi_one_symmetric()),
+    lambda: ns.gamma_asymptotic(0.1, 2.0, ns.phi_one_symmetric()),
 ])
 def test_bounds_reject_inputs_outside_their_domain(call):
     with pytest.raises(ValueError):
@@ -724,21 +728,11 @@ def test_bisect_root_errors_and_lanes():
     assert isinstance(bisect_root(lambda x: x - 0.3, 0.0, 1.0), float)
 
 
-def test_bracket_error_reports_fn_not_sign():
-    # the endpoints go through fn, so the message is fn's even when the
-    # midpoints go through another sign function
-    from noisestab.bounds import BracketError, bisect_root
-    with pytest.raises(BracketError) as exc:
-        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0,
-                    sign=lambda x: np.full(np.shape(x), -5.0))
-    assert str(exc.value) == "no sign change on [-1.0, 1.0]: f=2.0, 2.0"
-
-
 def test_sign_filter_refines_near_zero_and_nan_lanes():
     # a fast pair 2 ulp off the exact one near the root, nan on one lane:
     # the filter returns exact's sign and zeros on every lane, and calls
     # exact only on the lanes near the root and the nan lane
-    from noisestab.bounds import _sign_filter
+    from noisestab.certify import _sign_filter
     calls = []
 
     def exact(x, p):
@@ -758,6 +752,12 @@ def test_sign_filter_refines_near_zero_and_nan_lanes():
     # one lane goes to exact directly
     assert float(_sign_filter(exact, fast, 0.3)(0.3)) == 0.0
     assert calls == [4, 1]
+    # so does a scalar x against array params (t_rho's bracket ends): it
+    # gets exact's value on every lane
+    q = np.array([0.1, 0.3, 0.7, np.nan])
+    got = _sign_filter(exact, fast, q)(0.3)
+    assert got.tobytes() == (0.3 - q).tobytes()
+    assert calls == [4, 1, 1]
 
 
 def _ulps(a, b):
@@ -778,33 +778,17 @@ def test_numpy_logs_within_4_ulp_of_libm_on_the_bisection_ranges():
     assert _ulps(np.log1p(s), ref).max() <= 4
 
 
-def test_filtered_eps_star_bisection_matches_the_exact_one(monkeypatch):
-    # the filtered bisection against bisect_root on the exact function
-    # alone, over eps_star's resolvable range: bit-identical roots
-    from noisestab import bounds
+def test_eps_star_lanes_match_one_lane_calls():
+    # the lane-wise bisection over eps_star's resolvable range gives each
+    # lane the root of its one-lane call, bit for bit
     rng = np.random.default_rng(7)
     rhos = np.concatenate([np.exp(rng.uniform(math.log(7.1e-4), 0.0, 1500)),
                            1.0 - np.exp(rng.uniform(math.log(1e-6), 0.0, 500)),
                            [7.1e-4, 1.0 - 1e-6]])
     rhos = rhos[(7.1e-4 <= rhos) & (rhos <= 1.0 - 1e-6)]
-    exact_lanes = []
-    sign_filter = bounds._sign_filter
-
-    def counting(exact, fast, *params):
-        def exact_counted(x, *p):
-            exact_lanes.append(np.size(x))
-            return exact(x, *p)
-        return sign_filter(exact_counted, fast, *params)
-
-    monkeypatch.setattr(bounds, "_sign_filter", counting)
-    filtered = bounds.eps_star(rhos)
-    # the filter refines a few of the ~40 midpoints of a lane
-    assert 0 < sum(exact_lanes) < 20 * len(rhos)
-    monkeypatch.setattr(bounds, "_sign_filter",
-                        lambda exact, fast, *p: lambda x: exact(x, *p))
-    reference = bounds.eps_star(rhos)
-    assert filtered.tobytes() == reference.tobytes()
-    assert [bounds.eps_star(r) for r in rhos[:20].tolist()] == filtered[:20].tolist()
+    assert len(rhos) == 2002
+    one_lane = np.array([ns.eps_star(r) for r in rhos.tolist()])
+    assert ns.eps_star(rhos).tobytes() == one_lane.tobytes()
 
 
 def test_eps_star_lower_bound_on_certified_interval():

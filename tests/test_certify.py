@@ -41,6 +41,15 @@ def test_varphi_values():
     assert ns.varphi(0.8) == pytest.approx(ns.varphi(0.2), abs=1e-15)
 
 
+def test_omega_and_varphi_reject_inputs_outside_their_domain():
+    # nan too, alone or on one lane of an array; the 1e-12 slack stays
+    for fn, edge in ((ns.omega, 0.5), (ns.varphi, 1.0)):
+        for bad in (math.nan, [0.1, math.nan], -1e-9, edge + 1e-9, math.inf):
+            with pytest.raises(ValueError, match="requires"):
+                fn(bad)
+        assert math.isfinite(fn(edge + 1e-13)) and math.isfinite(fn(-1e-13))
+
+
 def test_omega_at_zero():
     # second clause (1+1)^2/(8 pi) beats the first clause value 1/4
     assert float(ns.omega(0.0)) == pytest.approx(1 / (2 * math.pi), abs=1e-15)

@@ -165,6 +165,7 @@ def test_brute_guards():
     assert main(["brute", "--n", "5", "--rho", "0.5", "--sample", "0", "--seed", "1"]) == 2
     assert main(["brute", "--n", "2", "--rho", "1.5"]) == 2
     assert main(["brute", "--n", "2", "--rho", "0.5", "--checks", "nope"]) == 2
+    assert main(["brute", "--n", "4", "--seed", "3"]) == 2
 
 
 def test_brute_n4_full_family(capsys):
@@ -267,6 +268,8 @@ _MISSING = "<unwritable>"  # replaced by a path under a missing directory
     ["brute", "--n", "2", "--rho", "1e-300", "--checks", "localopt"],
     ["brute", "--n", "2", "--rho", "0", "--checks", "localopt"],
     ["brute", "--n", "2", "--rho", "1", "--checks", "localopt"],
+    ["gamma", "--eps", "0.1", "--rho", "0.6", "--phi", "one-sym", "--q", "2"],
+    ["gamma", "--eps", "0.1", "--rho", "0.6", "--phi", "one-asym", "--q", "2"],
 ])
 def test_numeric_domain_failure_is_one_line_usage_error(argv, tmp_path, capsys):
     missing = str(tmp_path / "no" / "such" / "dir" / "out.txt")

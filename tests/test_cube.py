@@ -466,6 +466,20 @@ def test_restrict_and_mix_reproduces_noise():
             assert abs(full[x] - want) < 1e-12
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ns.max_noise_stability(3, 0.5, 0.5, 2.0),
+    lambda: ns.max_noise_stability(3, 0.5, 0.5, math.nan),
+    lambda: ns.restrict_and_mix(ns.BooleanFunction.dictator(3, 1), 1, math.nan),
+    lambda: ns.restrict_and_mix(ns.BooleanFunction.dictator(3, 1), 1, 1.5),
+    lambda: noise_apply_subset(np.ones(8), 3, [1], -3.0),
+    lambda: noise_apply_subset(np.ones(8), 3, [1], math.nan),
+])
+def test_noise_operations_reject_rho_outside_unit_interval(call):
+    # the message of noise_apply's own check
+    with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\]$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # family-level invariants
 # ---------------------------------------------------------------------------
@@ -704,6 +718,7 @@ def test_traced_brute_smoke_pass(capsys):
     (2, [0.5], ["ck"], 0, 1),
     (2, [0.5], ["ck"], 10, None),
     (5, [0.5], ["ck"], sweeps.MAX_SAMPLE + 1, 1),
+    (2, [0.5], ["ck"], None, 3),
 ])
 def test_run_checks_rejects_inputs_outside_its_domain(n, rhos, checks, sample, seed):
     with pytest.raises(ValueError):
