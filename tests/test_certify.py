@@ -45,7 +45,7 @@ def test_omega_and_varphi_reject_inputs_outside_their_domain():
     # nan too, alone or on one lane of an array; the 1e-12 slack stays
     for fn, edge in ((ns.omega, 0.5), (ns.varphi, 1.0)):
         for bad in (math.nan, [0.1, math.nan], -1e-9, edge + 1e-9, math.inf):
-            with pytest.raises(ValueError, match="requires"):
+            with pytest.raises(ValueError, match=f"^{fn.__name__} requires"):
                 fn(bad)
         assert math.isfinite(fn(edge + 1e-13)) and math.isfinite(fn(-1e-13))
 
