@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri, xlogy
 
 from .cube import StepSpectrum, _require_unit, noise_kernel
 
@@ -69,10 +68,28 @@ def _unit(t):
     return np.minimum(1.0, np.maximum(0.0, t))
 
 
-def h(t):
-    """t ln t + (1-t) ln(1-t); the convex pair entropy with 0 ln 0 = 0."""
+def _libm_log(x):
+    """libm's natural log (math.log), lane by lane over an array of
+    positive or nan lanes.  Every value a certificate prints or decides on
+    takes its logs from here (or from math.log1p, in
+    `certify.phi_ratio_prime`): numpy's SIMD log, which the sweeps and the
+    quadrature use, misses libm's by an ulp on a few inputs."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _xlogy(x, y, log=np.log):
+    """x ln y with 0 ln y = 0, lane-wise through `log`, which gets 1 in place
+    of y on the lanes with x = 0.  With `_libm_log` it equals
+    scipy.special.xlogy bit for bit wherever x >= +0 and y > 0."""
+    return x * log(np.where(x == 0.0, 1.0, y))
+
+
+def h(t, log=np.log):
+    """t ln t + (1-t) ln(1-t); the convex pair entropy with 0 ln 0 = 0.
+    The logs are numpy's, or `log`'s (`_libm_log` for certificate values)."""
     t = _unit(t)
-    return xlogy(t, t) + xlogy(1.0 - t, 1.0 - t)
+    return _xlogy(t, t, log) + _xlogy(1.0 - t, 1.0 - t, log)
 
 
 def q_log(t: float, q: float) -> float:
@@ -143,6 +160,47 @@ def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
     return float(out) if out.ndim == 0 else out
 
 
+#: Relative margin of `_sign_filter`.  numpy's log and log1p stay within
+#: 4 ulp (8.9e-16 relative) of libm's on the bisections' ranges
+#: (test_numpy_logs_within_4_ulp_of_libm_on_the_bisection_ranges; the
+#: largest gap measured over 3.5M inputs was 1 ulp).  A root function's side
+#: A is a product, or a sum of terms of one sign, with such a log in it, and
+#: its other roundings add about 1 ulp more; its side B takes no numpy log.
+#: So the fast and exact differences A - B differ by at most about 1.1e-15
+#: (|A| + |B|), and 1e-14 keeps about 9x headroom over that.
+_FILTER_MARGIN = 1e-14
+
+
+def _sign_filter(exact, fast, *params):
+    """A root function for bisect_root with the signs and exact zeros of
+    x -> exact(x, *params).
+
+    exact's value is A - B, and fast(x, *params) returns that pair (A, B)
+    computed with numpy's SIMD log / log1p in place of libm's, which they
+    match within 4 ulp.  A lane whose fast difference clears
+    _FILTER_MARGIN (|A| + |B|) has the sign of the exact one: the two paths
+    put A and B within about 1e-15 (|A| + |B|) of each other, and the sign
+    of a float subtraction is exact.  Every other lane, nan included, is
+    evaluated again by exact on its own parameters (a floating-point
+    filter, after Shewchuk's adaptive-precision predicates).  The params
+    are lane arrays (or scalars) broadcasting against x.  A one-lane x,
+    such as a scalar bracket end against array params, goes to exact
+    directly and gets exact's value on every lane: there numpy's per-call
+    cost outweighs the libm logs it saves.
+    """
+    def sign(x):
+        if np.size(x) == 1:
+            return exact(x, *params)
+        a, b = fast(x, *params)
+        out = a - b
+        near = ~(np.abs(out) > _FILTER_MARGIN * (np.abs(a) + np.abs(b)))
+        if near.any():
+            lanes = (np.broadcast_to(p, out.shape)[near] for p in (x, *params))
+            out[near] = exact(*lanes)
+        return out
+    return sign
+
+
 # ---------------------------------------------------------------------------
 # convex test functions
 # ---------------------------------------------------------------------------
@@ -198,8 +256,11 @@ def phi_q_symmetric(q: float) -> PhiSpec:
 
 def phi_one_asymmetric() -> PhiSpec:
     """Phi_1(t) = t ln t."""
-    return PhiSpec("one-asym", lambda t: xlogy(_unit(t), _unit(t)),
-                   lambda t: np.log(t) + 1.0, convex=True, q=1.0)
+    def fn(t):
+        t = _unit(t)
+        return _xlogy(t, t)
+
+    return PhiSpec("one-asym", fn, lambda t: np.log(t) + 1.0, convex=True, q=1.0)
 
 
 def phi_one_symmetric() -> PhiSpec:
@@ -666,19 +727,18 @@ def gamma_one(eps: float, rho: float) -> float:
             + (0.5 - e) * rho * rho * float(h(c)))
 
 
-def _eps_star_equation(rho):
-    """eps_star's root function e -> h(c + rho e) - (1 + coef e) h(c), with
-    c = (1-rho)/2 and coef = 2 rho^2/(1-rho^2), lane-wise in rho; h(c) and
-    coef are computed once per lane."""
-    c = (1.0 - rho) / 2.0
-    hc, coef = h(c), 2.0 * rho * rho / (1.0 - rho * rho)
-
-    def fn(e):
-        return h(c + rho * e) - (1.0 + coef * e) * hc
-    return fn
+def _eps_star_value(e, c, rho, hc, coef):
+    """h(c + rho e) - (1 + coef e) h(c), eps_star's root equation, by libm's
+    log; c = (1-rho)/2, hc = h(c) and coef = 2 rho^2/(1-rho^2) per lane."""
+    return h(c + rho * e, _libm_log) - (1.0 + coef * e) * hc
 
 
-def eps_star(rho):
+def _eps_star_sides(e, c, rho, hc, coef):
+    """The two sides of `_eps_star_value`, h(c + rho e) by numpy's log."""
+    return h(c + rho * e), (1.0 + coef * e) * hc
+
+
+def eps_star(rho, hc=None):
     """Threshold distance below which gamma_one certifies dictator
     optimality: the unique root in (0, 1/2) of
 
@@ -686,30 +746,42 @@ def eps_star(rho):
 
     Lane-wise over an array of rho, each lane with the checks of a
     one-lane call; an unresolved lane raises RuntimeError naming the first
-    such rho.  A scalar rho gives a float.
+    such rho.  A scalar rho gives a float.  A caller that already holds
+    h((1-rho)/2) by libm's log, lane-wise, may pass it as `hc`.
+
+    Every sign read from the root equation goes through `_sign_filter`, so
+    it is the one libm's logs give, and so is every root.
     """
     rho = np.asarray(rho, dtype=float)
     if not np.all((0.0 < rho) & (rho < 1.0)):
         raise ValueError("eps_star requires rho in (0, 1)")
-    fn = _eps_star_equation(rho)
-    # fn vanishes to second order at 0, so at very small rho the value at
-    # the nominal left anchor sits below the rounding floor; walk the
-    # anchor up until the sign is resolved, never guessing a root
+    c = (1.0 - rho) / 2.0
+    params = (c, rho, h(c, _libm_log) if hc is None else hc,
+              2.0 * rho * rho / (1.0 - rho * rho))
+    sign = _sign_filter(_eps_star_value, _eps_star_sides, *params)
+    # the root function vanishes to second order at 0 as rho -> 0, so at
+    # very small rho its value at the nominal left anchor sits below the
+    # rounding floor; walk the anchor up until the sign is resolved, never
+    # guessing a root
     lo = np.full(rho.shape, 1e-12)
     unresolved = np.zeros(rho.shape, dtype=bool)
-    while (walk := ~unresolved & (fn(lo) >= 0.0)).any():
+    while (walk := ~unresolved & (sign(lo) >= 0.0)).any():
         lo = np.where(walk, lo * 1e3, lo)
         unresolved |= lo >= 0.1
     # the bracket is checked here, not by bisect_root's BracketError, so
-    # that a lane failing here does not hide an earlier lane failing later
-    hi = 0.5 - 1e-12
-    unresolved |= fn(hi) < 0.0  # fn(lo) < 0 too: no sign change
+    # that a lane failing here does not hide an earlier lane failing later;
+    # hi is one value per lane, so that the filter sees every lane
+    hi = np.full(rho.shape, 0.5 - 1e-12)
+    unresolved |= sign(hi) < 0.0  # sign(lo) < 0 too: no sign change
     root = np.full(rho.shape, np.nan)
     ok = ~unresolved
     if ok.any():
-        root[ok] = bisect_root(_eps_star_equation(rho[ok]), lo[ok], hi, tol=1e-12)
-    # fn is O(rho^2): a small residual proves nothing, a sign change does
-    unresolved |= ~((fn(root - 1e-9) < 0.0) & (0.0 < fn(root + 1e-9)))
+        lanes = (np.broadcast_to(p, rho.shape)[ok] for p in params)
+        root[ok] = bisect_root(_sign_filter(_eps_star_value, _eps_star_sides, *lanes),
+                               lo[ok], hi[ok], tol=1e-12)
+    # the equation is O(rho^2): a small residual proves nothing, a sign
+    # change does
+    unresolved |= ~((sign(root - 1e-9) < 0.0) & (0.0 < sign(root + 1e-9)))
     if unresolved.any():
         first = float(rho.flat[np.flatnonzero(unresolved)[0]])
         raise RuntimeError(
@@ -728,7 +800,8 @@ def _h_centered(x):
     `within_eps_star` reads eps_star's root equation through it.  eps_star
     itself moves onto it at the certificate's next re-pin (ROADMAP,
     "eps_star on all of (0, 1)"), which moves two grid roots inside the
-    bisection's 1e-12 stop; `_eps_star_equation` then gives way to it."""
+    bisection's 1e-12 stop; `_eps_star_value` and `_eps_star_sides` then
+    give way to it."""
     return x * np.log1p(2.0 * x) - x * np.log1p(-2.0 * x) + 0.5 * np.log1p(-4.0 * x * x)
 
 
@@ -772,7 +845,9 @@ def gamma_asymptotic(eps: float, rho: float, phi: PhiSpec) -> float:
     Gamma(eps) >= gamma_asymptotic(eps) on all of (0, 1/2): integrating the
     tangent lines of the convex Phi at cp and cm against the two mixture
     profiles, whose masses follow from int theta_alpha = alpha, gives
-    exactly this line.  rho outside [0, 1], nan included, raises ValueError.
+    exactly this line.  rho outside [0, 1], nan included, raises ValueError,
+    and so does a Phi' that is not finite at cp or cm (at rho = 1 for the
+    built-in Phi with a log or a power below 1).
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
@@ -780,22 +855,31 @@ def gamma_asymptotic(eps: float, rho: float, phi: PhiSpec) -> float:
     if phi.deriv is None:
         raise ValueError("gamma_asymptotic needs the derivative of phi")
     cp, cm = (1.0 + rho) / 2.0, (1.0 - rho) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dp, dm = float(phi.deriv(cp)), float(phi.deriv(cm))
+    if not (math.isfinite(dp) and math.isfinite(dm)):
+        raise ValueError(f"gamma_asymptotic: Phi' is not finite at (1 +/- rho)/2 "
+                         f"for rho={rho}")
     head = 0.5 * (float(phi(cp)) + float(phi(cm)))
-    slope = float(phi.deriv(cp)) - float(phi.deriv(cm))
-    return head - (rho / 2.0) * slope * eps
+    return head - (rho / 2.0) * (dp - dm) * eps
 
 
 # ---------------------------------------------------------------------------
 # Gaussian analogues
 # ---------------------------------------------------------------------------
 
+# The Gaussian analogues are scipy's one remaining use: it is imported inside
+# them, so that no other bound, the sweeps or the certificate pays its start-up.
+
 def norm_cdf(x: float) -> float:
     """CDF of the standard normal distribution."""
+    from scipy.special import ndtr
     return float(ndtr(x))
 
 
 def norm_ppf(p: float) -> float:
     """Inverse standard normal CDF on (0, 1)."""
+    from scipy.special import ndtri
     if not 0.0 < p < 1.0:
         raise ValueError(f"norm_ppf requires p in (0, 1), got {p}")
     return float(ndtri(p))
@@ -806,6 +890,7 @@ def gaussian_theta(alpha: float, beta, rho: float):
     / sqrt(1-rho^2)), lane-wise over an array of beta (a scalar gives a
     float); endpoint inputs return their limits explicitly, and a nan alpha
     or beta raises ValueError."""
+    from scipy.special import ndtr, ndtri
     if not 0.0 <= rho < 1.0:
         raise ValueError("gaussian_theta requires rho in [0, 1)")
     beta = np.asarray(beta, dtype=float)

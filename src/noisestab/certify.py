@@ -19,19 +19,19 @@ everywhere in between.  Floating point is plain double precision; the
 slack delta absorbs rounding, every root carries a residual check, and
 evaluation order is fixed so certificates are bit-reproducible.
 
-Every logarithm a certificate value depends on is libm's (math.log1p,
-scipy's xlogy), which numpy's SIMD log and log1p miss by 1 ulp on a few
-percent of inputs.  t_rho's bisection reads only the sign of its root
-function A - B at a midpoint, and takes it from numpy's log1p first
-(`_sign_filter`): the two paths put A and B within a few ulp of each
-other, so where the fast difference clears 1e-12 (|A| + |B|), about 4,500
-ulp, its sign is the exact one, as the sign of a float subtraction is
-exact.  Only the lanes inside that margin are evaluated again with libm.
+Every logarithm a certificate value depends on is libm's (math.log and
+math.log1p, lane by lane through `bounds._libm_log` and `phi_ratio_prime`),
+which numpy's SIMD log and log1p miss by 1 ulp on a few percent of inputs.
+Both bisections, eps_star's and t_rho's, read only the sign of their root
+function A - B at a midpoint, and take it from numpy's logs first
+(`bounds._sign_filter`): the two paths put A and B within about 1e-15
+(|A| + |B|) of each other, so where the fast difference clears 1e-14
+(|A| + |B|), its sign is the exact one, as the sign of a float subtraction
+is exact.  Only the lanes inside that margin are evaluated again with libm.
 Every midpoint sign, and so every root, is the one the libm arithmetic
-gives; the bracket ends and the residual check use libm throughout.
-eps_star's bisection is not filtered: its h is scipy's xlogy ufunc, and
-its root function's O(rho^2) slope puts most lanes inside the margin in
-its last steps.
+gives.  The values themselves (h((1-rho)/2), computed once per lane and
+shared by the three stages, omega, and theta's phi) and t_rho's residual
+check use libm throughout.  No module of the certificate imports scipy.
 
 The grid is evaluated in lanes: each stage takes an array of rho (one
 lane per grid point) and runs its root searches in lockstep, every lane
@@ -49,10 +49,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import __version__
-from .bounds import BracketError, bisect_root, eps_star, h
+from .bounds import (BracketError, _libm_log, _sign_filter, _xlogy, bisect_root,
+                     eps_star, h)
 
 #: Default certified interval and grid constants.
 RHO_LO = 0.46
@@ -79,7 +79,7 @@ def varphi(t):
     if not np.all(tt >= -1e-12):
         raise ValueError("varphi requires t in [0, 1]")
     tt = np.clip(tt, 0.0, 0.5)
-    curve = -2.0 * xlogy(tt * tt, np.where(tt > 0.0, tt, 1.0))
+    curve = -2.0 * _xlogy(tt * tt, tt, _libm_log)
     linprog = np.where(tt <= 0.25, 2.0 * tt ** 1.5 - 2.0 * tt * tt, 0.5 * tt)
     out = np.minimum(curve, linprog)
     return float(out) if out.ndim == 0 else out
@@ -102,7 +102,7 @@ def phi_ratio(s):
     s = np.asarray(s, dtype=float)
     if not ((0.0 < s) & (s < 1.0)).all():
         raise ValueError("phi_ratio requires s in (0, 1)")
-    out = h(s) / s
+    out = h(s, _libm_log) / s
     return float(out) if out.ndim == 0 else out
 
 
@@ -220,44 +220,12 @@ def _t_rho_sides(t, a_coef, target):
     return -0.5 * a_coef * (-np.log1p(-s) / (s * s)), target
 
 
-#: Relative margin of `_sign_filter`: about 4,500 ulp, against the few ulp
-#: by which numpy's SIMD logarithms move a root function's two sides.
-_FILTER_MARGIN = 1e-12
-
-
-def _sign_filter(exact, fast, *params):
-    """A root function for bisect_root with the signs and exact zeros of
-    x -> exact(x, *params).
-
-    exact's value is A - B, and fast(x, *params) returns that pair (A, B)
-    computed with numpy's SIMD log / log1p in place of libm's, which they
-    match within 1 ulp.  A lane whose fast difference clears
-    _FILTER_MARGIN (|A| + |B|) has the sign of the exact one: the two paths
-    put A and B within a few ulp of each other, and the sign of a float
-    subtraction is exact.  Every other lane, nan included, is evaluated
-    again by exact on its own parameters (a floating-point filter, after
-    Shewchuk's adaptive-precision predicates).  The params are lane arrays
-    (or scalars) broadcasting against x.  A one-lane x, such as a scalar
-    bracket end against array params, goes to exact directly and gets
-    exact's value on every lane: there numpy's per-call cost outweighs the
-    libm logs it saves.
-    """
-    def sign(x):
-        if np.size(x) == 1:
-            return exact(x, *params)
-        a, b = fast(x, *params)
-        out = a - b
-        near = ~(np.abs(out) > _FILTER_MARGIN * (np.abs(a) + np.abs(b)))
-        if near.any():
-            lanes = (np.broadcast_to(p, out.shape)[near] for p in (x, *params))
-            out[near] = exact(*lanes)
-        return out
-    return sign
-
-
-def _t_rho_given(rho, om):
+def _t_rho_given(rho, om, target=None):
+    """t_rho given omega_max; `target`, phi((1-rho)/2), may be passed by a
+    caller that already holds it."""
     a_coef = 1.0 + rho - 4.0 * rho * rho * om
-    target = phi_ratio((1.0 - rho) / 2.0)
+    if target is None:
+        target = phi_ratio((1.0 - rho) / 2.0)
     root = bisect_root(_sign_filter(_t_rho_value, _t_rho_sides, a_coef, target),
                        1e-12, 1.0 - 1e-12, tol=1e-12)
     bad = np.abs(_t_rho_value(root, a_coef, target)) >= 1e-9
@@ -287,12 +255,15 @@ def evaluate_point(rho) -> PointEval:
     rho-independent omega values (the fixed grid, its running maximum and
     the refined cells) are shared across rho, so each entry is
     independently reproducible."""
-    es = eps_star(rho)
+    c = (1.0 - rho) / 2.0
+    hc = h(c, _libm_log)  # shared by all three stages
+    es = eps_star(rho, hc)  # which checks rho, so c > 0 below
+    phi_c = hc / c  # phi((1-rho)/2)
     om, arg = _max_omega_on(0.5 - es)
-    tr = _t_rho_given(rho, om)
+    tr = _t_rho_given(rho, om, phi_c)
     a_coef = 1.0 + rho - 4.0 * rho * rho * om
     theta = (a_coef * phi_ratio((1.0 - tr) / 2.0)
-             - (1.0 + tr - rho * rho) * phi_ratio((1.0 - rho) / 2.0))
+             - (1.0 + tr - rho * rho) * phi_c)
     return PointEval(rho, es, om, arg, tr, theta)
 
 

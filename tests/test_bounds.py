@@ -732,7 +732,7 @@ def test_sign_filter_refines_near_zero_and_nan_lanes():
     # a fast pair 2 ulp off the exact one near the root, nan on one lane:
     # the filter returns exact's sign and zeros on every lane, and calls
     # exact only on the lanes near the root and the nan lane
-    from noisestab.certify import _sign_filter
+    from noisestab.bounds import _sign_filter
     calls = []
 
     def exact(x, p):
@@ -760,13 +760,57 @@ def test_sign_filter_refines_near_zero_and_nan_lanes():
     assert calls == [4, 1, 1]
 
 
+def test_libm_xlogy_equals_scipy_xlogy_bit_for_bit():
+    # the libm t ln t behind every certificate value is scipy's xlogy, and
+    # so is varphi's t^2 ln t (its x = t^2 underflows to 0 below 1.5e-162)
+    from scipy.special import xlogy
+    from noisestab.bounds import _libm_log, _xlogy
+    rng = np.random.default_rng(20261020)
+    t = np.concatenate([np.exp(rng.uniform(math.log(1e-300), 0.0, 20_000)),
+                        rng.uniform(0.0, 1.0, 20_000),
+                        [0.0, 5e-324, 1e-300, 1e-170, 0.5, 1.0]])
+    assert _xlogy(t, t, _libm_log).tobytes() == xlogy(t, t).tobytes()
+    assert _xlogy(t * t, t, _libm_log).tobytes() == xlogy(t * t, t).tobytes()
+    one_minus = 1.0 - t
+    want = xlogy(t, t) + xlogy(one_minus, one_minus)
+    assert ns.bounds.h(t, _libm_log).tobytes() == want.tobytes()
+
+
+def test_filtered_eps_star_bisection_matches_the_exact_one(monkeypatch):
+    # the filtered eps_star against bisect_root on the exact function
+    # alone: bit-identical roots, with few lanes evaluated exactly.  These
+    # 2,000 rho took 2,924 exact lanes, most of them at rho below about
+    # 0.15, where the root function is O(rho^2) and its value at the left
+    # anchor sits inside the margin; the certificate's 5,676-point grid
+    # takes 575 (against 31,950 at a margin of 1e-12)
+    from noisestab import bounds
+    rhos = np.sort(np.random.default_rng(11).uniform(7.1e-4, 1.0 - 1e-6, 2000))
+    exact_lanes = []
+    sign_filter = bounds._sign_filter
+
+    def counting(exact, fast, *params):
+        def exact_counted(x, *p):
+            exact_lanes.append(np.size(np.broadcast(x, *p)))
+            return exact(x, *p)
+        return sign_filter(exact_counted, fast, *params)
+
+    monkeypatch.setattr(bounds, "_sign_filter", counting)
+    filtered = ns.eps_star(rhos)
+    assert 0 < sum(exact_lanes) < 2 * len(rhos)
+    monkeypatch.setattr(bounds, "_sign_filter",
+                        lambda exact, fast, *p: lambda x: exact(x, *p))
+    reference = ns.eps_star(rhos)
+    assert filtered.tobytes() == reference.tobytes()
+    assert ns.eps_star(float(rhos[0])) == filtered[0]
+
+
 def _ulps(a, b):
     """|a - b| in units in the last place, for finite a, b of one sign."""
     return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
 
 
 def test_numpy_logs_within_4_ulp_of_libm_on_the_bisection_ranges():
-    # the headroom of _sign_filter's 1e-12 margin: h's arguments t and
+    # the premise of _sign_filter's 1e-14 margin: h's arguments t and
     # 1 - t for t in [5e-9, 1/2], and phi''s log1p(-s) for s in (0, 1/2)
     rng = np.random.default_rng(20260419)
     t = np.exp(rng.uniform(math.log(5e-9), math.log(0.5), 200_000))
@@ -811,6 +855,20 @@ def test_gamma_asymptotic_head_and_sign():
         assert ns.gamma_asymptotic(1e-3, rho, phi) < head
     with pytest.raises(ValueError):
         ns.gamma_asymptotic(0.01, 0.5, ns.phi_custom(lambda t: t * t))
+
+
+@pytest.mark.parametrize("phi", [ns.phi_one_symmetric(), ns.phi_one_asymmetric(),
+                                 ns.phi_q_asymmetric(0.5), ns.phi_q_symmetric(0.5)],
+                         ids=lambda phi: f"{phi.kind}:{phi.q}")
+def test_gamma_asymptotic_rejects_an_infinite_derivative(phi):
+    # at rho = 1, cm = 0, where these Phi' are infinite: a one-line
+    # ValueError naming rho, with no RuntimeWarning on the way
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^[^\n]*rho=1\.0$"):
+            ns.gamma_asymptotic(0.1, 1.0, phi)
+        assert math.isfinite(ns.gamma_asymptotic(0.1, 0.999, phi))
 
 
 def test_gamma_deficit_true_linear_rate():

@@ -412,5 +412,22 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert proc.stdout.strip() == "False"
 
 
+def test_certificate_and_sweeps_run_without_scipy():
+    # scipy is imported by the Gaussian cross-check alone: a certificate
+    # and a brute pass leave it unloaded, and norm_cdf loads it
+    script = (
+        "import sys, noisestab.cli\n"
+        "from noisestab import bounds, certify, sweeps\n"
+        "assert certify.verify_interval(0.9, 0.914).passed\n"
+        "assert all(r.passed for r in sweeps.run_checks(3, [0.5]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "bounds.norm_cdf(0.0)\n"
+        "print('scipy.special' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+
+
 def test_usage_error_on_unknown_command():
     assert main(["frobnicate"]) == 2
