@@ -68,14 +68,14 @@ def _unit(t):
     return np.minimum(1.0, np.maximum(0.0, t))
 
 
-def _libm_log(x):
-    """libm's natural log (math.log), lane by lane over an array of
-    positive or nan lanes.  Every value a certificate prints or decides on
-    takes its logs from here (or from math.log1p, in
-    `certify.phi_ratio_prime`): numpy's SIMD log, which the sweeps and the
-    quadrature use, misses libm's by an ulp on a few inputs."""
+def _libm_log(x, log=math.log):
+    """libm's natural log (math.log), or `log` (math.log1p), lane by lane
+    over an array of lanes in its domain or nan.  Every value a
+    certificate prints or decides on takes its logs from here: numpy's
+    SIMD log and log1p, which the sweeps and the quadrature use, miss
+    libm's by an ulp on a few inputs."""
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.fromiter(map(log, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _xlogy(x, y, log=np.log):
@@ -125,10 +125,11 @@ def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
     Lane-wise over the broadcast shape of lo, hi and fn's values (fn maps
     an array of points to an array of values): each lane stops on its own,
     exactly as a one-lane call would.  A BracketError names the first lane
-    without a sign change, with fn's values; a 0-d result is a float.  At
-    the midpoints only the sign of fn and its exact zeros are read, so an
-    fn that agrees with another on both, such as a sign filter's, gives
-    that function's roots bit for bit.
+    without a sign change, with fn's values; a 0-d result is a float.  Of
+    fn's values, at the bracket ends and at the midpoints, only the signs
+    and exact zeros are read, so an fn that agrees with another on both,
+    such as a sign filter's, gives that function's roots bit for bit (and
+    its BracketError texts up to the digits of the values).
     """
     flo, fhi = fn(lo), fn(hi)
     lo, hi, flo, fhi = (np.array(a, dtype=float)
@@ -171,32 +172,30 @@ def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
 _FILTER_MARGIN = 1e-14
 
 
-def _sign_filter(exact, fast, *params):
+def _sign_filter(sides, *params):
     """A root function for bisect_root with the signs and exact zeros of
-    x -> exact(x, *params).
+    A - B, where (A, B) = sides(x, *params, libm=True).
 
-    exact's value is A - B, and fast(x, *params) returns that pair (A, B)
-    computed with numpy's SIMD log / log1p in place of libm's, which they
-    match within 4 ulp.  A lane whose fast difference clears
-    _FILTER_MARGIN (|A| + |B|) has the sign of the exact one: the two paths
-    put A and B within about 1e-15 (|A| + |B|) of each other, and the sign
-    of a float subtraction is exact.  Every other lane, nan included, is
-    evaluated again by exact on its own parameters (a floating-point
-    filter, after Shewchuk's adaptive-precision predicates).  The params
-    are lane arrays (or scalars) broadcasting against x.  A one-lane x,
-    such as a scalar bracket end against array params, goes to exact
-    directly and gets exact's value on every lane: there numpy's per-call
-    cost outweighs the libm logs it saves.
+    sides computes the two sides of a root equation, with libm's log /
+    log1p when libm is true and numpy's SIMD ones, which match them within
+    4 ulp, when it is false.  Every lane is evaluated the fast way first.
+    A lane whose fast difference clears _FILTER_MARGIN (|A| + |B|) has the
+    sign of the exact one: the two ways put A and B within about 1e-15
+    (|A| + |B|) of each other, and the sign of a float subtraction is
+    exact.  Every other lane, nan included, is evaluated again with libm on
+    its own parameters (a floating-point filter, after Shewchuk's
+    adaptive-precision predicates).  The params are lane arrays (or
+    scalars) broadcasting against x; a 0-d or one-lane x takes the same
+    path.
     """
     def sign(x):
-        if np.size(x) == 1:
-            return exact(x, *params)
-        a, b = fast(x, *params)
-        out = a - b
+        a, b = sides(x, *params)
+        out = np.asarray(a - b)
         near = ~(np.abs(out) > _FILTER_MARGIN * (np.abs(a) + np.abs(b)))
         if near.any():
             lanes = (np.broadcast_to(p, out.shape)[near] for p in (x, *params))
-            out[near] = exact(*lanes)
+            a, b = sides(*lanes, libm=True)
+            out[near] = a - b
         return out
     return sign
 
@@ -727,15 +726,11 @@ def gamma_one(eps: float, rho: float) -> float:
             + (0.5 - e) * rho * rho * float(h(c)))
 
 
-def _eps_star_value(e, c, rho, hc, coef):
-    """h(c + rho e) - (1 + coef e) h(c), eps_star's root equation, by libm's
-    log; c = (1-rho)/2, hc = h(c) and coef = 2 rho^2/(1-rho^2) per lane."""
-    return h(c + rho * e, _libm_log) - (1.0 + coef * e) * hc
-
-
-def _eps_star_sides(e, c, rho, hc, coef):
-    """The two sides of `_eps_star_value`, h(c + rho e) by numpy's log."""
-    return h(c + rho * e), (1.0 + coef * e) * hc
+def _eps_star_sides(e, c, rho, hc, coef, libm=False):
+    """The two sides h(c + rho e) and (1 + coef e) h(c) of eps_star's root
+    equation, by numpy's log or libm's; c = (1-rho)/2, hc = h(c) and
+    coef = 2 rho^2/(1-rho^2) per lane."""
+    return h(c + rho * e, _libm_log if libm else np.log), (1.0 + coef * e) * hc
 
 
 def eps_star(rho, hc=None):
@@ -750,7 +745,8 @@ def eps_star(rho, hc=None):
     h((1-rho)/2) by libm's log, lane-wise, may pass it as `hc`.
 
     Every sign read from the root equation goes through `_sign_filter`, so
-    it is the one libm's logs give, and so is every root.
+    it is the one libm's logs give, and so is every root.  The bracket ends
+    of every lane, four left anchors and 1/2 - 1e-12, are read in one call.
     """
     rho = np.asarray(rho, dtype=float)
     if not np.all((0.0 < rho) & (rho < 1.0)):
@@ -758,27 +754,24 @@ def eps_star(rho, hc=None):
     c = (1.0 - rho) / 2.0
     params = (c, rho, h(c, _libm_log) if hc is None else hc,
               2.0 * rho * rho / (1.0 - rho * rho))
-    sign = _sign_filter(_eps_star_value, _eps_star_sides, *params)
+    sign = _sign_filter(_eps_star_sides, *params)
     # the root function vanishes to second order at 0 as rho -> 0, so at
-    # very small rho its value at the nominal left anchor sits below the
-    # rounding floor; walk the anchor up until the sign is resolved, never
-    # guessing a root
-    lo = np.full(rho.shape, 1e-12)
-    unresolved = np.zeros(rho.shape, dtype=bool)
-    while (walk := ~unresolved & (sign(lo) >= 0.0)).any():
-        lo = np.where(walk, lo * 1e3, lo)
-        unresolved |= lo >= 0.1
-    # the bracket is checked here, not by bisect_root's BracketError, so
-    # that a lane failing here does not hide an earlier lane failing later;
-    # hi is one value per lane, so that the filter sees every lane
-    hi = np.full(rho.shape, 0.5 - 1e-12)
-    unresolved |= sign(hi) < 0.0  # sign(lo) < 0 too: no sign change
+    # very small rho its value at 1e-12 sits below the rounding floor: each
+    # lane's left end is its first anchor of negative sign among 1e-12 and
+    # three steps up by 1e3, never a guessed root.  Both ends are checked
+    # here, in one call, not by bisect_root's BracketError, so that a lane
+    # failing here does not hide an earlier lane failing later
+    anchors = np.multiply.accumulate([1e-12, 1e3, 1e3, 1e3])
+    signs = sign(np.append(anchors, 0.5 - 1e-12).reshape((-1,) + (1,) * rho.ndim))
+    negative = ~(signs[:-1] >= 0.0)
+    lo = anchors[np.argmax(negative, axis=0)]
+    unresolved = ~negative.any(axis=0) | (signs[-1] < 0.0)
     root = np.full(rho.shape, np.nan)
     ok = ~unresolved
     if ok.any():
         lanes = (np.broadcast_to(p, rho.shape)[ok] for p in params)
-        root[ok] = bisect_root(_sign_filter(_eps_star_value, _eps_star_sides, *lanes),
-                               lo[ok], hi[ok], tol=1e-12)
+        root[ok] = bisect_root(_sign_filter(_eps_star_sides, *lanes),
+                               lo[ok], 0.5 - 1e-12, tol=1e-12)
     # the equation is O(rho^2): a small residual proves nothing, a sign
     # change does
     unresolved |= ~((sign(root - 1e-9) < 0.0) & (0.0 < sign(root + 1e-9)))
@@ -800,8 +793,7 @@ def _h_centered(x):
     `within_eps_star` reads eps_star's root equation through it.  eps_star
     itself moves onto it at the certificate's next re-pin (ROADMAP,
     "eps_star on all of (0, 1)"), which moves two grid roots inside the
-    bisection's 1e-12 stop; `_eps_star_value` and `_eps_star_sides` then
-    give way to it."""
+    bisection's 1e-12 stop; `_eps_star_sides` then gives way to it."""
     return x * np.log1p(2.0 * x) - x * np.log1p(-2.0 * x) + 0.5 * np.log1p(-4.0 * x * x)
 
 

@@ -20,18 +20,20 @@ slack delta absorbs rounding, every root carries a residual check, and
 evaluation order is fixed so certificates are bit-reproducible.
 
 Every logarithm a certificate value depends on is libm's (math.log and
-math.log1p, lane by lane through `bounds._libm_log` and `phi_ratio_prime`),
-which numpy's SIMD log and log1p miss by 1 ulp on a few percent of inputs.
-Both bisections, eps_star's and t_rho's, read only the sign of their root
-function A - B at a midpoint, and take it from numpy's logs first
-(`bounds._sign_filter`): the two paths put A and B within about 1e-15
-(|A| + |B|) of each other, so where the fast difference clears 1e-14
-(|A| + |B|), its sign is the exact one, as the sign of a float subtraction
-is exact.  Only the lanes inside that margin are evaluated again with libm.
-Every midpoint sign, and so every root, is the one the libm arithmetic
-gives.  The values themselves (h((1-rho)/2), computed once per lane and
-shared by the three stages, omega, and theta's phi) and t_rho's residual
-check use libm throughout.  No module of the certificate imports scipy.
+math.log1p, lane by lane through `bounds._libm_log`), which numpy's SIMD
+log and log1p miss by 1 ulp on a few percent of inputs.  Both bisections,
+eps_star's and t_rho's, read only the signs of their root equation A - B,
+written once as its two sides with a choice of logs, and take them through
+one path (`bounds._sign_filter`), bracket ends and midpoints alike: every
+lane is evaluated with numpy's logs, and where the fast difference clears
+1e-14 (|A| + |B|), its sign is the exact one, since the two kinds of log
+put A and B within about 1e-15 (|A| + |B|) of each other and the sign of a
+float subtraction is exact.  Only the lanes inside that margin are
+evaluated again with libm.  Every sign, and so every root, is the one the
+libm arithmetic gives.  The values themselves (h((1-rho)/2), computed once
+per lane and shared by the three stages, omega, and theta's phi) and
+t_rho's residual check (its root equation's sides with libm) use libm
+throughout.  No module of the certificate imports scipy.
 
 The grid is evaluated in lanes: each stage takes an array of rho (one
 lane per grid point) and runs its root searches in lockstep, every lane
@@ -108,15 +110,17 @@ def phi_ratio(s):
 
 def phi_ratio_prime(s):
     """phi'(s) = -ln(1-s)/s^2, with math.log1p in every lane (numpy's SIMD
-    log1p differs from it in the last bit for some inputs).  t_rho's
-    bisection takes its midpoint signs from numpy's log1p and calls this
-    only on the lanes near its root (see the module docstring)."""
+    log1p differs from it in the last bit for some inputs)."""
     s = np.asarray(s, dtype=float)
     if not ((0.0 < s) & (s < 1.0)).all():
         raise ValueError("phi_ratio_prime requires s in (0, 1)")
-    log = np.fromiter(map(math.log1p, (-s).ravel().tolist()), float, s.size)
-    out = -log.reshape(s.shape) / (s * s)
+    out = _phi_prime(s, libm=True)
     return float(out) if out.ndim == 0 else out
+
+
+def _phi_prime(s, libm):
+    """-ln(1-s)/s^2 lane-wise, by libm's log1p or numpy's."""
+    return -(_libm_log(-s, math.log1p) if libm else np.log1p(-s)) / (s * s)
 
 
 def _golden_max(fn, lo: float, hi: float):
@@ -183,14 +187,12 @@ def _max_omega_on(b_hi):
     which = np.empty(len(order), dtype=int)
     which[order] = np.cumsum(starts) - 1
     arg, value = refined.reshape(-1, 2)[which].T
-    # Python's max over (value, arg) pairs, the refined cell's first; where
-    # omega(b_hi) ties the grid maximum, the endpoint stands in for the grid
-    # winner, as its larger argument would win that tie
-    on_end = end_vals >= run_max[n - 1]
-    cand = np.where(on_end, end_vals, run_max[n - 1])
-    cand_at = np.where(on_end, lanes, grid_at(i))
-    take = (cand > value) | ((cand == value) & (cand_at > arg))
-    value, arg = np.where(take, cand, value), np.where(take, cand_at, arg)
+    # Python's max over the (value, arg) pairs of the refined cell, the grid
+    # winner and the endpoint: the largest value, then the largest argument
+    values = np.stack([value, run_max[n - 1], end_vals])
+    args = np.stack([arg, full_grid[run_arg[n - 1]], lanes])
+    value = values.max(axis=0)
+    arg = np.where(values == value, args, -np.inf).max(axis=0)
     if b_hi.ndim == 0:
         return float(value[0]), float(arg[0])
     return value.reshape(b_hi.shape), arg.reshape(b_hi.shape)
@@ -209,15 +211,10 @@ def t_rho(rho):
     return _t_rho_given(rho, om)
 
 
-def _t_rho_value(t, a_coef, target):
-    """-(1/2) a_coef phi'((1-t)/2) - target, t_rho's root equation."""
-    return -0.5 * a_coef * phi_ratio_prime((1.0 - t) / 2.0) - target
-
-
-def _t_rho_sides(t, a_coef, target):
-    """The two sides of `_t_rho_value`, phi' by numpy's log1p."""
-    s = (1.0 - t) / 2.0
-    return -0.5 * a_coef * (-np.log1p(-s) / (s * s)), target
+def _t_rho_sides(t, a_coef, target, libm=False):
+    """The two sides -(1/2) a_coef phi'((1-t)/2) and target of t_rho's root
+    equation, phi' by numpy's log1p or libm's."""
+    return -0.5 * a_coef * _phi_prime((1.0 - t) / 2.0, libm), target
 
 
 def _t_rho_given(rho, om, target=None):
@@ -226,9 +223,9 @@ def _t_rho_given(rho, om, target=None):
     a_coef = 1.0 + rho - 4.0 * rho * rho * om
     if target is None:
         target = phi_ratio((1.0 - rho) / 2.0)
-    root = bisect_root(_sign_filter(_t_rho_value, _t_rho_sides, a_coef, target),
+    root = bisect_root(_sign_filter(_t_rho_sides, a_coef, target),
                        1e-12, 1.0 - 1e-12, tol=1e-12)
-    bad = np.abs(_t_rho_value(root, a_coef, target)) >= 1e-9
+    bad = np.abs(np.subtract(*_t_rho_sides(root, a_coef, target, libm=True))) >= 1e-9
     if np.any(bad):
         first = np.broadcast_to(rho, bad.shape).flat[np.flatnonzero(bad)[0]]
         raise RuntimeError(f"t_rho residual too large at rho={float(first)}")

@@ -284,16 +284,11 @@ def q_bound_check(n: int, rho: float, F: np.ndarray,
     0 < q < 1 (hence at the max)."""
     fam, values = _family(F, n), _code_values(n, rho)
     worst = -math.inf
-    for q in Q_UPPER:
-        bound = _coordinate_bounds(
-            fam.keys, n, lambda e: bounds.gamma_q(e, rho, q)).min(axis=1)
+    for q in Q_UPPER + Q_LOWER:
+        coords = _coordinate_bounds(fam.keys, n, lambda e: bounds.gamma_q(e, rho, q))
         moment = _phi_means(fam.codes, values, lambda T: T ** q)
-        worst = max(worst, float((moment - bound).max()))
-    for q in Q_LOWER:
-        bound = _coordinate_bounds(
-            fam.keys, n, lambda e: bounds.gamma_q(e, rho, q)).max(axis=1)
-        moment = _phi_means(fam.codes, values, lambda T: T ** q)
-        worst = max(worst, float((bound - moment).max()))
+        excess = moment - coords.min(axis=1) if q > 1.0 else coords.max(axis=1) - moment
+        worst = max(worst, float(excess.max()))
     return CheckResult("qstab", n, rho, F.shape[0], worst, tol, worst <= tol)
 
 

@@ -730,34 +730,36 @@ def test_bisect_root_errors_and_lanes():
 
 def test_sign_filter_refines_near_zero_and_nan_lanes():
     # a fast pair 2 ulp off the exact one near the root, nan on one lane:
-    # the filter returns exact's sign and zeros on every lane, and calls
-    # exact only on the lanes near the root and the nan lane
+    # the filter returns exact's sign and zeros on every lane, and
+    # evaluates exactly only the lanes near the root and the nan lane
     from noisestab.bounds import _sign_filter
     calls = []
 
-    def exact(x, p):
-        calls.append(np.size(x))
-        return x - p
-
-    def fast(x, p):
+    def sides(x, p, libm=False):
+        if libm:
+            calls.append(np.size(x))
+            return x, p
         a = np.nextafter(np.nextafter(x, np.inf), np.inf)
         return np.where(x == 0.25, np.nan, a), p
 
+    def check(got, x, p, near):
+        exact = np.asarray(x - p)
+        assert np.sign(got[~near]).tolist() == np.sign(exact[~near]).tolist()
+        assert got[near].tobytes() == exact[near].tobytes()
+
     p = np.full(7, 0.3)
     x = np.array([0.0, 0.25, 0.3 - 1e-16, 0.3, 0.3 + 1e-16, 0.6, 1.0])
-    got = _sign_filter(exact, fast, p)(x)
-    assert np.sign(got).tolist() == np.sign(x - p).tolist()
-    assert got[1:5].tolist() == (x - p)[1:5].tolist()
+    check(_sign_filter(sides, p)(x), x, p, np.isin(np.arange(7), [1, 2, 3, 4]))
     assert calls == [4]
-    # one lane goes to exact directly
-    assert float(_sign_filter(exact, fast, 0.3)(0.3)) == 0.0
+    # a 0-d x takes the same path: near its root, exactly
+    got = _sign_filter(sides, 0.3)(0.3)
+    assert got.ndim == 0 and got.tobytes() == np.float64(0.0).tobytes()
     assert calls == [4, 1]
-    # so does a scalar x against array params (t_rho's bracket ends): it
-    # gets exact's value on every lane
+    # so does a scalar x against array params (t_rho's bracket ends): the
+    # far lanes keep the fast value, the near and nan lanes get exact's
     q = np.array([0.1, 0.3, 0.7, np.nan])
-    got = _sign_filter(exact, fast, q)(0.3)
-    assert got.tobytes() == (0.3 - q).tobytes()
-    assert calls == [4, 1, 1]
+    check(_sign_filter(sides, q)(0.3), 0.3, q, np.array([False, True, False, True]))
+    assert calls == [4, 1, 2]
 
 
 def test_libm_xlogy_equals_scipy_xlogy_bit_for_bit():
@@ -779,7 +781,7 @@ def test_libm_xlogy_equals_scipy_xlogy_bit_for_bit():
 def test_filtered_eps_star_bisection_matches_the_exact_one(monkeypatch):
     # the filtered eps_star against bisect_root on the exact function
     # alone: bit-identical roots, with few lanes evaluated exactly.  These
-    # 2,000 rho took 2,924 exact lanes, most of them at rho below about
+    # 2,000 rho take 2,627 exact lanes, most of them at rho below about
     # 0.15, where the root function is O(rho^2) and its value at the left
     # anchor sits inside the margin; the certificate's 5,676-point grid
     # takes 575 (against 31,950 at a margin of 1e-12)
@@ -788,17 +790,18 @@ def test_filtered_eps_star_bisection_matches_the_exact_one(monkeypatch):
     exact_lanes = []
     sign_filter = bounds._sign_filter
 
-    def counting(exact, fast, *params):
-        def exact_counted(x, *p):
-            exact_lanes.append(np.size(np.broadcast(x, *p)))
-            return exact(x, *p)
-        return sign_filter(exact_counted, fast, *params)
+    def counting(sides, *params):
+        def sides_counted(x, *p, libm=False):
+            if libm:
+                exact_lanes.append(np.size(np.broadcast(x, *p)))
+            return sides(x, *p, libm=libm)
+        return sign_filter(sides_counted, *params)
 
     monkeypatch.setattr(bounds, "_sign_filter", counting)
     filtered = ns.eps_star(rhos)
     assert 0 < sum(exact_lanes) < 2 * len(rhos)
     monkeypatch.setattr(bounds, "_sign_filter",
-                        lambda exact, fast, *p: lambda x: exact(x, *p))
+                        lambda sides, *p: lambda x: np.subtract(*sides(x, *p, libm=True)))
     reference = ns.eps_star(rhos)
     assert filtered.tobytes() == reference.tobytes()
     assert ns.eps_star(float(rhos[0])) == filtered[0]

@@ -111,6 +111,13 @@ def test_max_omega_on_matches_fresh_grid_oracle():
     rng = np.random.default_rng(2410)
     bs = [0.1, 0.2, 0.3, 0.345, 0.41, 0.5, 1e-5, 2e-5, 0.17566, 0.34504,
           *map(float, rng.uniform(0.0, 0.5, 12)), 0.2, 0.41]  # repeats hit the caches
+    # b_hi exactly on grid points and at cell midpoints, around both
+    # crossings; on grid points 49, 98 and 16377 the endpoint ties the grid
+    # maximum (the grid of [0, b_hi) ends at b_hi itself there)
+    grid = np.arange(0.0, 0.5, 1e-5)
+    cells = np.array([1, 2, 49, 98, 16377, 17565, 17566, 17567, 34503, 34504,
+                      34505, 49998])
+    bs += [*grid[cells].tolist(), *(0.5 * (grid[cells] + grid[cells + 1])).tolist()]
     assert any(b < beta_star for b in bs)
     assert any(beta_star <= b < 0.345 for b in bs)
     assert any(b > 0.345 for b in bs)
@@ -208,6 +215,20 @@ def test_t_rho_published_value_and_residual():
     assert abs(residual) < 1e-9
 
 
+def _counting_sign_filter(exact_lanes):
+    """bounds._sign_filter, appending to exact_lanes the number of lanes of
+    each evaluation it makes with libm."""
+    from noisestab.bounds import _sign_filter
+
+    def counting(sides, *params):
+        def sides_counted(x, *p, libm=False):
+            if libm:
+                exact_lanes.append(np.size(np.broadcast(x, *p)))
+            return sides(x, *p, libm=libm)
+        return _sign_filter(sides_counted, *params)
+    return counting
+
+
 def test_filtered_t_rho_bisection_matches_the_exact_one(monkeypatch):
     # the filtered bisection against bisect_root on the exact function
     # alone: bit-identical roots, with few lanes evaluated exactly
@@ -215,23 +236,29 @@ def test_filtered_t_rho_bisection_matches_the_exact_one(monkeypatch):
     rhos = np.sort(np.random.default_rng(11).uniform(0.05, 0.99, 2000))
     om, _ = ns.omega_max(rhos)
     exact_lanes = []
-    sign_filter = certify._sign_filter
-
-    def counting(exact, fast, *params):
-        def exact_counted(x, *p):
-            exact_lanes.append(np.size(x))
-            return exact(x, *p)
-        return sign_filter(exact_counted, fast, *params)
-
-    monkeypatch.setattr(certify, "_sign_filter", counting)
+    monkeypatch.setattr(certify, "_sign_filter", _counting_sign_filter(exact_lanes))
     filtered = certify._t_rho_given(rhos, om)
-    # the filter refines a few of the ~40 midpoints of a lane
+    # the filter refines a few of the ~40 midpoints of a lane (105 exact
+    # lanes in all), and the two scalar bracket ends take the fast path too
     assert 0 < sum(exact_lanes) < 5 * len(rhos)
     monkeypatch.setattr(certify, "_sign_filter",
-                        lambda exact, fast, *p: lambda x: exact(x, *p))
+                        lambda sides, *p: lambda x: np.subtract(*sides(x, *p, libm=True)))
     reference = certify._t_rho_given(rhos, om)
     assert filtered.tobytes() == reference.tobytes()
     assert ns.t_rho(float(rhos[0])) == filtered[0]
+
+
+def test_default_certificate_evaluates_few_lanes_through_libm(monkeypatch):
+    # every bracket end and midpoint sign of a default pass goes through
+    # the filter, and only 757 lanes come near enough to zero to be
+    # evaluated again with libm: 575 in eps_star, 182 in t_rho.  Sending
+    # t_rho's two bracket ends through libm on every lane would add 11,352
+    from noisestab import bounds, certify
+    exact_lanes = []
+    for module in (bounds, certify):
+        monkeypatch.setattr(module, "_sign_filter", _counting_sign_filter(exact_lanes))
+    assert ns.verify_interval().passed
+    assert 0 < sum(exact_lanes) < 1000
 
 
 def test_t_rho_range_on_certified_interval():
