@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", action="append", default=None,
                    help="correlation(s), repeatable or comma separated")
     p.add_argument("--checks", default="all",
-                   help="comma list from %s or 'all'" % (sweeps.CHECK_NAMES,))
+                   help="comma list of checks: %s; 'all' runs %s"
+                   % (", ".join(sweeps._CHECK_FNS), ", ".join(sweeps.CHECK_NAMES)))
     p.add_argument("--sample", type=int, default=None,
                    help="sample size (required at n = 5)")
     p.add_argument("--seed", type=int, default=None)

@@ -8,12 +8,11 @@ and every check reduces to array comparisons.  n <= 4 is exhaustive
 Noise goes through a distance-count code.  T_rho f(x) = sum_d c_d(x)
 cp^(n-d) cm^d, where c_d(x) counts the support points at Hamming distance
 d from x, so it is fixed by the counts, and the counts are packed into one
-mixed-radix integer, the code of x.  The codes of every row come from one
-rho-independent matmul with a 0/1 F, and are exact: they lie below
-prod_d (C(n, d) + 1), 700 at n = 4 and 17,424 at n = 5, far below 2^53.
-Per rho, one table holds the value of T for every code; a Phi check
-evaluates Phi on the table once and gathers it by code, which equals Phi
-on the gathered T bit for bit.
+mixed-radix integer, the code of x.  The codes of a row come from a
+rho-independent float matmul of the 0/1 row with a weight matrix, and are
+exact: they lie below prod_d (C(n, d) + 1), 700 at n = 4 and 17,424 at
+n = 5, far below 2^53.  Per rho, one dense table holds the value of T for
+every possible code, and `noised` gathers it by the codes of its rows.
 
 The checks run on classes of rows, not on rows.  Two rows with equal
 sorted codes have T_rho f with equal multisets of values at every rho,
@@ -21,15 +20,31 @@ and two rows with equal sorted dictator keys have equal multisets of
 dictator distances.  Each check reads only those two multisets: sorted
 T, a Phi mean, and the min or max over coordinates of a per-key bound.
 So `_family` groups the rows into classes with both sorted arrays equal,
-and keeps one representative row, the sorted codes, the sorted keys and
-the row count of each class.  A Phi mean is taken over the sorted codes,
-so every member of a class gives the same bits, whatever rows share its
-call.  The n = 4 family has 69 classes of 12,870 rows, n = 3 has 6 of
-70, and an n = 5 sample of 2,000 has about 1,980.  The tables depend on
-neither rho nor the check, and the checks are called one at a time with
-the same F, so `_family` remembers the last family: a call with the same
-array object, the same n and the same 0/1 entries (compared packed on
-every call) reuses it; any other array, even an equal one, rebuilds.
+and keeps one representative row, the sorted keys and the row count of
+each class.  It fills one narrow integer table (uint8 or uint16) with
+every row's sorted codes and sorted keys, 2^15 / 2^n rows at a time, so
+it never holds a float product of the whole family; codes and keys are
+exact integers, so the blocks change no bit.  The n = 4 family has 69
+classes of 12,870 rows, n = 3 has 6 of 70, and an n = 5 sample of 2,000
+has about 1,980.
+
+A family also keeps the distinct codes present in it, and each class's
+sorted codes as indices into them.  A Phi mean evaluates Phi once per
+code present, gathers it by index and averages over the sorted codes,
+which equals Phi on the gathered T bit for bit, and every member of a
+class gives the same bits whatever rows share its call.  That is 90
+codes at n = 4 (of 700 possible) and 920 and 871 in the n = 5 samples of
+2,000 at seeds 0 and 1000 (of 17,424).  `noised` keeps the dense table:
+the envelope check calls it on a family's ~1,980 representatives at n =
+5, and mapping their 63,360 codes to the codes present (by the mask
+`_family` uses) and decoding those took 0.31 ms, against 0.10 ms for the
+dense gather (2.4 ms through np.unique).
+
+The tables depend on neither rho nor the check, and the checks are called
+one at a time with the same F, so `_family` remembers the last family: a
+call with the same array object, the same n and the same 0/1 entries
+(compared packed on every call) reuses it; any other array, even an
+equal one, rebuilds.
 """
 
 from __future__ import annotations
@@ -78,7 +93,8 @@ def balanced_supports(n: int) -> np.ndarray:
         raise DimensionError(
             f"exhaustive enumeration capped at n={MAX_EXHAUSTIVE_N}; sample n=5")
     N = 2 ** n
-    combos = np.array(list(itertools.combinations(range(N), N // 2)), dtype=np.int64)
+    combos = np.fromiter(itertools.combinations(range(N), N // 2),
+                         np.dtype((np.intp, N // 2)), math.comb(N, N // 2))
     F = np.zeros((len(combos), N))
     np.put_along_axis(F, combos, 1.0, axis=1)
     return F
@@ -112,12 +128,15 @@ def _code_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     With the mixed radix base_d = prod_{d' < d} (C(n, d') + 1), W[y, x] =
     base_{d(x, y)}, so (F @ W)[f, x] = sum_d c_d(x) base_d is the code of
     x under the 0/1 row f; counts[c, d] is the count c_d that code c
-    decodes to, one row per code.
+    decodes to, one row per code, decoded in the narrowest integer type
+    that holds the code count and then cast to float.
     """
     radix = np.array([math.comb(n, d) + 1 for d in range(n + 1)])
     base = np.cumprod(radix) // radix
     W = base[_hamming_matrix(n)].astype(float)
-    counts = (np.arange(radix.prod())[:, None] // base % radix).astype(float)
+    code = np.arange(radix.prod(), dtype=np.min_scalar_type(radix.prod()))
+    counts = (code[:, None] // base.astype(code.dtype)
+              % radix.astype(code.dtype)).astype(float)
     W.setflags(write=False)
     counts.setflags(write=False)
     return W, counts
@@ -180,11 +199,14 @@ def _dictator_keys(F: np.ndarray, n: int) -> np.ndarray:
 class _Family:
     """The rho-independent tables of a 0/1 family, one row per class of
     rows with equal sorted codes and equal sorted dictator keys: a
-    representative 0/1 row, its codes and its keys, each sorted, and the
-    number of rows in the class.  The arrays are read-only."""
+    representative 0/1 row, its sorted codes as intp indices into
+    `present` (the distinct codes of the family, increasing), its sorted
+    keys as intp, and the number of rows in the class.  The arrays are
+    read-only."""
 
     reps: np.ndarray
-    codes: np.ndarray
+    present: np.ndarray
+    index: np.ndarray
     keys: np.ndarray
     counts: np.ndarray
 
@@ -192,6 +214,24 @@ class _Family:
 #: The last family `_family` built: (weak reference to F, n, F's shape,
 #: F's packed 0/1 mask, tables).
 _last_family: tuple | None = None
+
+
+def _sorted_rows(F: np.ndarray, n: int) -> np.ndarray:
+    """Each row's sorted codes and sorted dictator keys side by side, in
+    the narrowest integer type that holds the code count (the keys lie
+    below 2^n, which is below it).  The table is filled 2^15 / 2^n rows
+    at a time, so no product of the whole family is held; codes and keys
+    are exact integers, so the blocks change no bit."""
+    N = 2 ** n
+    W, counts = _code_basis(n)
+    rows = np.empty((F.shape[0], N + n), np.min_scalar_type(len(counts)))
+    step = 2 ** 15 // N
+    for lo in range(0, F.shape[0], step):
+        block, out = F[lo:lo + step], rows[lo:lo + step]
+        out[:, :N], out[:, N:] = block @ W, _dictator_keys(block, n)
+        out[:, :N].sort(axis=1)
+        out[:, N:].sort(axis=1)
+    return rows
 
 
 def _family(F: np.ndarray, n: int) -> _Family:
@@ -205,20 +245,20 @@ def _family(F: np.ndarray, n: int) -> _Family:
             and np.array_equal(last[3], packed)):
         return last[4]
     N = 2 ** n
-    codes = _codes(F, n)
-    codes.sort(axis=1)
-    keys = _dictator_keys(F, n)
-    keys.sort(axis=1)
-    # codes lie below the code count and keys below N, so the narrowest
-    # type that holds the code count holds both
-    rows = np.empty((F.shape[0], N + n), np.min_scalar_type(len(_code_basis(n)[1])))
-    rows[:, :N], rows[:, N:] = codes, keys
+    rows = _sorted_rows(F, n)
     whole = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, counts = np.unique(whole, return_index=True, return_counts=True)
-    rows, reps = rows[first], F[first]
-    for table in (rows, reps, counts):
+    # class rows, widened to intp: numpy indexes by intp several times
+    # faster than by a narrow type
+    codes, keys = rows[first, :N].astype(np.intp), rows[first, N:].astype(np.intp)
+    # number the codes present in increasing order, through a mask over
+    # all codes (np.unique's sort of every class's codes costs ~8x more)
+    seen = np.zeros(len(_code_basis(n)[1]), bool)
+    seen[codes] = True
+    tables = (F[first], np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes], keys, counts)
+    for table in tables:
         table.setflags(write=False)
-    family = _Family(reps, rows[:, :N], rows[:, N:], counts)
+    family = _Family(*tables)
     _last_family = (weakref.ref(F), n, F.shape, packed, family)
     return family
 
@@ -266,13 +306,14 @@ def envelope_check(n: int, rho: float, F: np.ndarray,
 def gamma_bound_check(n: int, rho: float, F: np.ndarray,
                       tol: float = 1e-7) -> CheckResult:
     """Stability under each convex test never exceeds min_i Gamma(d~_i)."""
-    fam, values = _family(F, n), _code_values(n, rho)
+    fam = _family(F, n)
+    values = _code_values(n, rho)[fam.present]
     worst = -math.inf
     for name in GAMMA_PHIS:
         phi = _phi_from_name(name)
         gmin = _coordinate_bounds(
             fam.keys, n, lambda e: bounds.gamma_phi(e, rho, phi)).min(axis=1)
-        stab = _phi_means(fam.codes, values, phi.fn)
+        stab = _phi_means(fam.index, values, phi.fn)
         worst = max(worst, float((stab - gmin).max()))
     return CheckResult("gamma", n, rho, F.shape[0], worst, tol, worst <= tol)
 
@@ -282,11 +323,12 @@ def q_bound_check(n: int, rho: float, F: np.ndarray,
     """q-th noise moments against gamma_q, in both directions: upper bound
     for q > 1 at every coordinate (hence at the min), lower bound for
     0 < q < 1 (hence at the max)."""
-    fam, values = _family(F, n), _code_values(n, rho)
+    fam = _family(F, n)
+    values = _code_values(n, rho)[fam.present]
     worst = -math.inf
     for q in Q_UPPER + Q_LOWER:
         coords = _coordinate_bounds(fam.keys, n, lambda e: bounds.gamma_q(e, rho, q))
-        moment = _phi_means(fam.codes, values, lambda T: T ** q)
+        moment = _phi_means(fam.index, values, lambda T: T ** q)
         excess = moment - coords.min(axis=1) if q > 1.0 else coords.max(axis=1) - moment
         worst = max(worst, float(excess.max()))
     return CheckResult("qstab", n, rho, F.shape[0], worst, tol, worst <= tol)
@@ -295,7 +337,8 @@ def q_bound_check(n: int, rho: float, F: np.ndarray,
 def ck_check(n: int, rho: float, F: np.ndarray, tol: float = 1e-9) -> CheckResult:
     """Symmetric 1-stability never exceeds the dictator value
     Phi_1^sym((1+rho)/2) (the conjecture at desk scale)."""
-    stab = _phi_means(_family(F, n).codes, _code_values(n, rho), bounds.h)
+    fam = _family(F, n)
+    stab = _phi_means(fam.index, _code_values(n, rho)[fam.present], bounds.h)
     worst = float((stab - bounds.h((1.0 + rho) / 2.0)).max())
     return CheckResult("ck", n, rho, F.shape[0], worst, tol, worst <= tol)
 
@@ -315,7 +358,7 @@ def local_optimality_check(n: int, rho: float, F: np.ndarray,
     near = bounds.within_eps_star(np.arange(N // 2 + 1) / N, rho)[fam.keys.min(axis=1)]
     dict_val = 0.5 * float(bounds.h((1.0 - rho) / 2.0))
     if near.any():
-        stab1 = _phi_means(fam.codes[near], _code_values(n, rho),
+        stab1 = _phi_means(fam.index[near], _code_values(n, rho)[fam.present],
                            bounds.phi_one_asymmetric().fn)
         worst = float((stab1 - dict_val).max())
     else:

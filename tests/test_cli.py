@@ -303,6 +303,13 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: noisestab")
 
 
+def test_brute_help_lists_every_check(capsys):
+    assert main(["brute", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("checks: majorization, gamma, qstab, ck, localopt; "
+            "'all' runs majorization, gamma, qstab, ck") in text
+
+
 # ---------------------------------------------------------------------------
 # input sweep: every input gives an answer or one error line
 # ---------------------------------------------------------------------------

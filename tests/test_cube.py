@@ -603,13 +603,13 @@ CHECKS = (sweeps.envelope_check, sweeps.gamma_bound_check, sweeps.q_bound_check,
 
 def test_family_tables_built_once_per_array(monkeypatch):
     # the class tables depend on neither rho nor the check: five checks at
-    # three rhos compute the family's codes once; an equal array that is
-    # another object builds its own
+    # three rhos build the family's sorted row table once; an equal array
+    # that is another object builds its own
     n = 3
     F = sweeps.balanced_supports(n)
     seen = []
-    real = sweeps._codes
-    monkeypatch.setattr(sweeps, "_codes",
+    real = sweeps._sorted_rows
+    monkeypatch.setattr(sweeps, "_sorted_rows",
                         lambda G, n: seen.append(G) or real(G, n))
     results = [check(n, rho, F) for rho in (0.2, 0.5, 0.8) for check in CHECKS]
     assert sum(G is F for G in seen) == 1
@@ -680,6 +680,8 @@ def _per_row_oracle(name, n, rho, F):
 @pytest.mark.parametrize("n, F", [
     (3, sweeps.balanced_supports(3)),
     (5, sweeps.sampled_balanced_supports(5, 300, seed=4)),
+    # 12,870 rows: several blocks of the family build, the last one partial
+    (4, sweeps.balanced_supports(4)),
 ])
 def test_class_checks_agree_with_per_row_oracle(n, F):
     for rho in (0.3, 0.85):
