@@ -20,14 +20,16 @@ quadrature in beta of Phi at the mixtures of profiles along the rows of the
 noise kernel, `gamma_vec`; `gamma_phi` is its k = 1 case), gamma_q
 (hypercontractive closed form), gamma_one (its q->1 derivative), the
 threshold eps_star(rho) with `within_eps_star`, which tells a distance's
-side of it from the sign of its root equation, and the Gaussian analogues.
+side of it from the sign of its root equation, and the Gaussian analogues,
+whose normal CDF and quantile are the standard library's (math.erfc and
+Wichura's AS241 in statistics.NormalDist).
 
 Quadrature is lane-wise.  `_integrate_unit` is an adaptive 21-point
 Gauss-Kronrod rule that makes one integrand call per round, on the nodes of
 every live subinterval at once.  Its first round already has every piece
 split into _QUAD_SPLIT equal parts, so an integrand smooth at the ends of
 its pieces takes one round.  It stops when the summed error estimate
-|K21 - G10| is within max(epsabs, 1e-11 |I|), and splits each subinterval
+|K21 - G10| is within max(1e-12, 1e-11 |I|), and splits each subinterval
 it refines into _QUAD_SPLIT equal parts, so a round adds _QUAD_SPLIT - 1
 subintervals per split.  Each piece between forced points holds at most
 _QUAD_LIMIT subintervals, and the rule fails closed when the summed
@@ -302,13 +304,15 @@ def _s_of_one_minus(x: float) -> float:
 
 
 def _region_edges(alpha: float, rho: float):
-    """Beta values of t = rho*s, t = s/rho, that = rho*shat, that = shat/rho."""
+    """Beta values of t = rho*s, t = s/rho, that = rho*shat, that = shat/rho.
+    The E2 edges 1 - (1 - alpha)^p go through log1p and expm1, which keep
+    them above 0 for alpha below 2^-53, where 1 - alpha rounds to 1."""
     r2 = rho * rho
-    om_alpha = 1.0 - alpha
-    return (alpha ** r2,                 # t = rho s   (E1 right edge)
-            alpha ** (1.0 / r2),         # t = s/rho   (E1 left edge)
-            1.0 - om_alpha ** r2,        # that = rho shat   (E2 left edge)
-            1.0 - om_alpha ** (1.0 / r2))  # that = shat/rho (E2 right edge)
+    log_om_alpha = math.log1p(-alpha)
+    return (alpha ** r2,                       # t = rho s   (E1 right edge)
+            alpha ** (1.0 / r2),               # t = s/rho   (E1 left edge)
+            -math.expm1(r2 * log_om_alpha),    # that = rho shat   (E2 left edge)
+            -math.expm1(log_om_alpha / r2))    # that = shat/rho (E2 right edge)
 
 
 def _classify(alpha, beta, rho: float, edges):
@@ -406,14 +410,18 @@ def big_theta(alpha: float, beta: float, rho: float) -> float:
     if rho == 1.0:
         return min(alpha, beta)
     clause = _classify(alpha, beta, rho, _region_edges(alpha, rho))
-    omr = 1.0 - rho * rho
+    # s^2 + t^2 - 2 rho s t over 2 (1 - rho^2), with 1 - rho taken once so
+    # that neither cancels as rho -> 1 (Theta would pass min(alpha, beta))
+    one_minus = 1.0 - rho
+
+    def exponent(x, y):
+        return ((x - y) ** 2 + 2.0 * one_minus * x * y) / (2.0 * one_minus * (1.0 + rho))
+
     if clause == 1:
-        s, t = _s_of(alpha), _s_of(beta)
-        return math.exp(-(s * s + t * t - 2.0 * rho * s * t) / (2.0 * omr))
+        return math.exp(-exponent(_s_of(alpha), _s_of(beta)))
     if clause == 2:
-        sh, th = _s_of_one_minus(alpha), _s_of_one_minus(beta)
         return alpha + beta - 1.0 + math.exp(
-            -(sh * sh + th * th - 2.0 * rho * sh * th) / (2.0 * omr))
+            -exponent(_s_of_one_minus(alpha), _s_of_one_minus(beta)))
     if clause == 3:
         return alpha
     return beta
@@ -566,7 +574,7 @@ _QUAD_ERROR_BUDGET = 1e-10
 _QUAD_SPLIT = 8
 
 
-def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
+def _integrate_unit(fn: Callable, inner_points) -> float:
     """Adaptive Gauss-Kronrod quadrature over [0, 1], split first into
     pieces at the forced points.  fn is lane-wise (an array of beta to an
     array of values): each round makes one call of it on the 21 nodes of
@@ -584,7 +592,7 @@ def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
 
     A subinterval's error estimate is |K21 - G10|.  The rule stops once the
     summed estimate of the accepted and live subintervals is at most
-    max(epsabs, 1e-11 |I|).  Until then a live subinterval whose estimate is
+    max(1e-12, 1e-11 |I|).  Until then a live subinterval whose estimate is
     within its width share of the tolerance the accepted ones leave is
     accepted, and every other one is split into _QUAD_SPLIT equal parts.
     The global stop is what ends a piece whose error shrinks only like its
@@ -613,7 +621,7 @@ def _integrate_unit(fn: Callable, inner_points, epsabs: float = 1e-12) -> float:
         fx = np.asarray(fn(beta.ravel()), dtype=float).reshape(u.shape)
         kg = half[:, None] * ((fx * (6.0 * w * v * (1.0 - v))) @ _GK_WEIGHTS)
         value, err = kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
-        left = max(epsabs, 1e-11 * abs(total + value.sum())) - error
+        left = max(1e-12, 1e-11 * abs(total + value.sum())) - error
         if err.sum() <= left:
             total += value.sum()
             error += err.sum()
@@ -860,29 +868,28 @@ def gamma_asymptotic(eps: float, rho: float, phi: PhiSpec) -> float:
 # Gaussian analogues
 # ---------------------------------------------------------------------------
 
-# The Gaussian analogues are scipy's one remaining use: it is imported inside
-# them, so that no other bound, the sweeps or the certificate pays its start-up.
-
 def norm_cdf(x: float) -> float:
     """CDF of the standard normal distribution."""
-    from scipy.special import ndtr
-    return float(ndtr(x))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def norm_ppf(p: float) -> float:
-    """Inverse standard normal CDF on (0, 1)."""
-    from scipy.special import ndtri
+    """Inverse standard normal CDF on (0, 1): Wichura's AS241, as the
+    standard library's `NormalDist.inv_cdf`."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"norm_ppf requires p in (0, 1), got {p}")
-    return float(ndtri(p))
+    # statistics (with fractions and decimal) is ~3 ms of import that the
+    # certificate and the sweeps never need
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(p)
 
 
 def gaussian_theta(alpha: float, beta, rho: float):
     """Ornstein-Uhlenbeck profile Psi((Psi^{-1}(alpha) - rho Psi^{-1}(beta))
     / sqrt(1-rho^2)), lane-wise over an array of beta (a scalar gives a
     float); endpoint inputs return their limits explicitly, and a nan alpha
-    or beta raises ValueError."""
-    from scipy.special import ndtr, ndtri
+    or beta raises ValueError.  Each interior lane is one `norm_cdf` and
+    one `norm_ppf` call."""
     if not 0.0 <= rho < 1.0:
         raise ValueError("gaussian_theta requires rho in [0, 1)")
     beta = np.asarray(beta, dtype=float)
@@ -891,10 +898,14 @@ def gaussian_theta(alpha: float, beta, rho: float):
     if alpha <= 0.0 or alpha >= 1.0:
         out = np.full(beta.shape, 0.0 if alpha <= 0.0 else 1.0)
     else:
-        # the lanes where ndtri is infinite or nan take the limits below
-        inner = alpha if rho == 0.0 else ndtr(
-            (norm_ppf(alpha) - rho * ndtri(beta)) / math.sqrt(1.0 - rho * rho))
-        out = np.where(beta <= 0.0, 1.0, np.where(beta >= 1.0, 0.0, inner))
+        out = np.where(beta <= 0.0, 1.0, 0.0)  # the limits at and beyond the ends
+        inner = (0.0 < beta) & (beta < 1.0)
+        if rho == 0.0:
+            out[inner] = alpha
+        else:
+            a, scale = norm_ppf(alpha), math.sqrt(1.0 - rho * rho)
+            out[inner] = [norm_cdf((a - rho * norm_ppf(b)) / scale)
+                          for b in beta[inner].tolist()]
     return float(out) if out.ndim == 0 else out
 
 
@@ -909,5 +920,4 @@ def borell_bound(alpha: float, rho: float, phi: PhiSpec) -> float:
         return float(phi(min(max(alpha, 0.0), 1.0)))
     if rho == 0.0:
         return float(phi(alpha))
-    return _integrate_unit(lambda beta: phi(gaussian_theta(alpha, beta, rho)),
-                           {alpha}, epsabs=1e-11)
+    return _integrate_unit(lambda beta: phi(gaussian_theta(alpha, beta, rho)), {alpha})

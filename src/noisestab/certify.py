@@ -33,7 +33,8 @@ evaluated again with libm.  Every sign, and so every root, is the one the
 libm arithmetic gives.  The values themselves (h((1-rho)/2), computed once
 per lane and shared by the three stages, omega, and theta's phi) and
 t_rho's residual check (its root equation's sides with libm) use libm
-throughout.  No module of the certificate imports scipy.
+throughout.  Like the rest of the package, the certificate needs nothing
+beyond numpy and the standard library.
 
 The grid is evaluated in lanes: each stage takes an array of rho (one
 lane per grid point) and runs its root searches in lockstep, every lane

@@ -96,6 +96,15 @@ def test_big_theta_bounds_monotone_concave():
             assert np.max(np.diff(vals, 2)) < 1e-9  # concavity
 
 
+def test_big_theta_at_most_min_near_rho_one():
+    # 1 - rho^2 and s^2 + t^2 - 2 rho s t both cancel as rho -> 1; taken
+    # naively they put Theta up to 0.056 above min(alpha, beta) here
+    grid = np.linspace(1e-3, 1 - 1e-3, 80).tolist()
+    for rho in (1 - 1e-9, 1 - 1e-12, 1 - 1e-15):
+        excess = max(ns.big_theta(a, b, rho) - min(a, b) for a in grid for b in grid)
+        assert excess <= 0.0, (rho, excess)
+
+
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
@@ -177,6 +186,21 @@ def test_profile_classification_total():
         except ProfileRegionError as exc:  # pragma: no cover
             pytest.fail(f"unclassified point: {exc}")
         assert 0.0 <= v <= 1.0
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999999])
+def test_profile_classification_total_down_to_tiny_alpha(rho):
+    # below alpha = 2^-53, 1 - alpha rounds to 1: the E2 edges must still
+    # come out above 0, or the small-beta lanes fall in no clause
+    small = (10.0 ** -np.arange(1.0, 321.0, 7.0)).tolist()
+    for alpha in (10.0 ** -np.arange(1.0, 301.0)).tolist():
+        prof = ns.theta_profile(alpha, rho)
+        special = {0.0, 1.0, *prof.edges, *prof.clause_boundaries}
+        near = {float(np.nextafter(b, d)) for b in special for d in (-1.0, 2.0)}
+        betas = sorted(special | near | set(small))
+        assert np.isfinite(prof.value(np.array(betas))).all()  # raises if uncovered
+        for b in betas[::5]:
+            assert 0.0 <= ns.big_theta(alpha, b, rho) <= alpha * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("alpha, rho", [
@@ -281,6 +305,16 @@ def test_gamma_phi_at_zero_is_dictator_stability():
         for phi in (ns.phi_one_symmetric(), ns.phi_q_asymmetric(2)):
             want = 0.5 * (float(phi((1 + rho) / 2)) + float(phi((1 - rho) / 2)))
             assert ns.gamma_phi(0.0, rho, phi) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999999])
+def test_gamma_phi_at_tiny_eps_equals_eps_zero(rho):
+    # a subcube of mass eps below 2^-53 changes no bit worth 1e-15
+    for name in sweeps.GAMMA_PHIS:
+        phi = sweeps._phi_from_name(name)
+        at_zero = ns.gamma_phi(0.0, rho, phi)
+        for eps in (1e-17, 1e-20, 1e-100, 1e-300):
+            assert abs(ns.gamma_phi(eps, rho, phi) - at_zero) <= 1e-15, (name, eps)
 
 
 def test_gamma_phi_symmetric_in_eps():
@@ -975,17 +1009,18 @@ def test_borell_bound_against_tight_quad(name):
             assert err < 5e-13, (alpha, rho, err)
 
 
-#: borell_bound on the grid above, by repr, from the inline OU integrand
-#: it had before it integrated gaussian_theta: the merge moved no bit
+#: borell_bound on the grid above, by repr, through the standard library's
+#: normal CDF (erfc) and quantile (AS241) at the quadrature's one absolute
+#: tolerance, 1e-12
 BORELL_PINNED = {
-    "one-sym": ("-0.31817987408286624", "-0.25764771720952745", "-0.13881740485067712",
-                "-0.5992113874966025", "-0.49371744993407674", "-0.27236984433126765",
-                "-0.6802495908427058", "-0.5625895171294539", "-0.3119030024077888",
-                "-0.490498530906179", "-0.4018359084971158", "-0.21998999431381538"),
-    "q-asym:2": ("-0.08872739978844917", "-0.07544030574761607", "-0.042677233652223215",
-                 "-0.20513709403531807", "-0.16362897251889558", "-0.08651601744190282",
-                 "-0.24363210340006367", "-0.1913883443775193", "-0.09973352384254766",
-                 "-0.15682033649695654", "-0.12791406298091776", "-0.06915396511544955"),
+    "one-sym": ("-0.31817987408286613", "-0.25764771720952734", "-0.13881740485067706",
+                "-0.5992113874967309", "-0.4937174499340769", "-0.2723698443312677",
+                "-0.6802495908427058", "-0.5625895171294539", "-0.31190300240778884",
+                "-0.4904985309062602", "-0.4018359084971158", "-0.21998999431381544"),
+    "q-asym:2": ("-0.08872739978844911", "-0.0754403057476193", "-0.0426772336522232",
+                 "-0.20513709403536068", "-0.16362897251889566", "-0.08651601744190285",
+                 "-0.24363210340012179", "-0.1913883443775193", "-0.09973352384254767",
+                 "-0.15682033649698168", "-0.12791406298091773", "-0.06915396511544956"),
 }
 
 

@@ -420,20 +420,26 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 
 def test_certificate_and_sweeps_run_without_scipy():
-    # scipy is imported by the Gaussian cross-check alone: a certificate
-    # and a brute pass leave it unloaded, and norm_cdf loads it
+    # the runtime needs numpy alone: with scipy unimportable, the Gaussian
+    # cross-check, a certificate and a brute pass all run
     script = (
-        "import sys, noisestab.cli\n"
-        "from noisestab import bounds, certify, sweeps\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from noisestab import bounds, certify, cli, sweeps\n"
+        "assert bounds.norm_cdf(0.0) == 0.5\n"
+        "assert -38.0 < bounds.norm_ppf(1e-300) < -37.0\n"
+        "theta = bounds.gaussian_theta(0.3, np.array([0.0, 0.3, 0.7, 1.0]), 0.6)\n"
+        "assert theta[0] == 1.0 and 1.0 > theta[1] > theta[2] > 0.0 == theta[3]\n"
+        "phi = bounds.phi_q_asymmetric(2.0)\n"
+        "assert float(phi(0.3)) < bounds.borell_bound(0.3, 0.6, phi) < 0.0\n"
         "assert certify.verify_interval(0.9, 0.914).passed\n"
         "assert all(r.passed for r in sweeps.run_checks(3, [0.5]))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "bounds.norm_cdf(0.0)\n"
-        "print('scipy.special' in sys.modules)\n")
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["['scipy']"]
 
 
 def test_usage_error_on_unknown_command():

@@ -1,0 +1,41 @@
+"""The runtime needs the standard library and numpy alone; scipy is a test
+oracle."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    # every import statement at any depth, function-local ones included
+    found = {}
+    for path in sorted((ROOT / "src" / "noisestab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative one (inside the package)
+                continue
+            for name in names:
+                found.setdefault(name.split(".")[0], path.name)
+    assert "numpy" in found
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    assert {m: where for m, where in found.items() if m not in allowed} == {}
+
+
+def test_pyproject_declares_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = tomllib.loads(text)["project"]
+
+    def names(deps):
+        return [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])
