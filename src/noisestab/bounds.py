@@ -14,6 +14,9 @@ each expression active exactly on the region where it is the binding bound.
 Its beta-derivative theta_alpha is the universal majorant of T_rho f over
 all Boolean f of mean alpha: the concentration of T_rho f never exceeds
 Theta, hence E[Phi(T_rho f)] <= int_0^1 Phi(theta_alpha) for convex Phi.
+The change of variable s = sqrt(-2 ln x), s_hat = sqrt(-2 ln(1 - x)) is one
+lane-wise `_s_pair`, unclamped; at every double Theta <= min(alpha, beta)
+and theta_alpha lies in [0, 1].  Phi_q's q-logarithm is one expm1 form, `_ln_q`.
 
 On top of the profile sit the bound families: Gamma (one adaptive
 quadrature in beta of Phi at the mixtures of profiles along the rows of the
@@ -59,9 +62,6 @@ import numpy as np
 
 from .cube import StepSpectrum, _require_unit, noise_kernel
 
-_CLAMP_LO = 1e-300
-_CLAMP_HI = 1.0 - 1e-16
-
 
 def _unit(t):
     """Clip to [0, 1]: absorbs ulp-level roundoff from convex mixtures.
@@ -94,24 +94,29 @@ def h(t, log=np.log):
     return _xlogy(t, t, log) + _xlogy(1.0 - t, 1.0 - t, log)
 
 
+def _ln_q(t, q: float):
+    """ln_q t = expm1((q - 1) ln t)/(q - 1), lane-wise, for q != 1.  expm1
+    keeps it within an ulp or so of the exact value as q -> 1, where the
+    power form t^(q-1) - 1 cancels to ~1e-16/|q - 1| absolute."""
+    d = q - 1.0
+    return np.expm1(d * np.log(t)) / d
+
+
 def q_log(t: float, q: float) -> float:
     """Tsallis q-logarithm (t^{q-1} - 1)/(q - 1), equal to ln t at q = 1.
 
-    Evaluated through expm1 so the q -> 1 limit is seamless; |q-1| below
-    1e-9 is routed to the logarithm with its quadratic series correction.
-    A nan t or q raises ValueError, as do t <= 0 and an infinite q.
+    Evaluated as expm1((q-1) ln t)/(q-1) (`_ln_q`), which needs no series
+    near q = 1.  A nan t or q raises ValueError, as do t <= 0 and an
+    infinite q; a value beyond float range raises FloatingPointError.
     """
     if not t > 0:
         raise ValueError("q_log requires t > 0")
     if not math.isfinite(q):
         raise ValueError("q_log requires a finite q")
-    lt = math.log(t)
     if q == 1.0:
-        return lt
-    d = q - 1.0
-    if abs(d) < 1e-9:
-        return lt * (1.0 + 0.5 * d * lt)
-    return math.expm1(d * lt) / d
+        return math.log(t)
+    with np.errstate(over="raise"):
+        return float(_ln_q(t, q))
 
 
 class BracketError(RuntimeError):
@@ -225,19 +230,19 @@ class PhiSpec:
 
 
 def phi_q_asymmetric(q: float) -> PhiSpec:
-    """Phi_q(t) = t ln_q t = (t^q - t)/(q - 1)."""
+    """Phi_q(t) = t ln_q t = (t^q - t)/(q - 1), 0 at t = 0, with derivative
+    q ln_q t + 1; both through `_ln_q`'s expm1 form."""
     if not 0.0 < q < math.inf:
         raise ValueError("q must be finite and positive")
     if q == 1.0:
         return phi_one_asymmetric()
-    d = q - 1.0
 
     def fn(t):
         t = _unit(t)
-        return (np.power(t, q) - t) / d
+        return _xlogy(t, t, lambda y: _ln_q(y, q))
 
     def deriv(t):
-        return (q * np.power(t, q - 1.0) - 1.0) / d
+        return q * _ln_q(t, q) + 1.0
 
     return PhiSpec("q-asym", fn, deriv, convex=True, q=q)
 
@@ -291,16 +296,12 @@ class ProfileRegionError(RuntimeError):
     """No envelope clause classified the requested point."""
 
 
-def _s_of(x: float) -> float:
-    """s with x = e^{-s^2/2}, clamped away from the endpoints."""
-    x = min(max(x, _CLAMP_LO), _CLAMP_HI)
-    return math.sqrt(-2.0 * math.log(x))
-
-
-def _s_of_one_minus(x: float) -> float:
-    """s with 1-x = e^{-s^2/2}, via log1p for accuracy near x = 0."""
-    x = min(max(x, 1.0 - _CLAMP_HI), 1.0 - _CLAMP_LO)
-    return math.sqrt(-2.0 * math.log1p(-x))
+def _s_pair(x):
+    """(s, s_hat) with x = e^{-s^2/2} = 1 - e^{-s_hat^2/2}, lane-wise; s_hat
+    goes through log1p, for accuracy near x = 0.  Finite at every double in
+    (0, 1), subnormals included; x = 0 gives s = inf and x = 1 s_hat = inf,
+    with numpy's divide warning unless the caller silences it."""
+    return np.sqrt(-2.0 * np.log(x)), np.sqrt(-2.0 * np.log1p(-x))
 
 
 def _region_edges(alpha: float, rho: float):
@@ -357,8 +358,7 @@ def _clause_formula(s, s_hat, rho: float, beta, clause):
     are silenced."""
     omr = 1.0 - rho * rho
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sqrt(-2.0 * np.log(np.clip(beta, _CLAMP_LO, _CLAMP_HI)))
-        th = np.sqrt(-2.0 * np.log1p(-np.clip(beta, 1.0 - _CLAMP_HI, 1.0 - _CLAMP_LO)))
+        t, th = _s_pair(beta)
         e1 = (t - rho * s) / (omr * t) * np.exp(-(s - rho * t) ** 2 / (2.0 * omr))
         e2 = 1.0 - (th - rho * s_hat) / (omr * th) * np.exp(
             -(s_hat - rho * th) ** 2 / (2.0 * omr))
@@ -385,7 +385,7 @@ def _theta(data, rho: float, beta):
         clause = _classify(alpha, beta, rho, edges)
         out = np.where(beta <= 0.0, 1.0, np.where(
             beta >= 1.0, 0.0, _clause_formula(s, s_hat, rho, beta, clause)))
-    return np.where(flat, _unit(alpha), out)
+    return _unit(np.where(flat, alpha, out))
 
 
 def big_theta(alpha: float, beta: float, rho: float) -> float:
@@ -410,21 +410,18 @@ def big_theta(alpha: float, beta: float, rho: float) -> float:
     if rho == 1.0:
         return min(alpha, beta)
     clause = _classify(alpha, beta, rho, _region_edges(alpha, rho))
+    if clause >= 3:
+        return alpha if clause == 3 else beta
+    (s_a, sh_a), (s_b, sh_b) = _s_pair(alpha), _s_pair(beta)
+    x, y = map(float, (s_a, s_b) if clause == 1 else (sh_a, sh_b))
     # s^2 + t^2 - 2 rho s t over 2 (1 - rho^2), with 1 - rho taken once so
-    # that neither cancels as rho -> 1 (Theta would pass min(alpha, beta))
+    # that neither cancels as rho -> 1; rounding can still lift an exponential
+    # clause above min(alpha, beta) (2.8e-13 relative at alpha = 1e-255), so
+    # both are capped
     one_minus = 1.0 - rho
-
-    def exponent(x, y):
-        return ((x - y) ** 2 + 2.0 * one_minus * x * y) / (2.0 * one_minus * (1.0 + rho))
-
-    if clause == 1:
-        return math.exp(-exponent(_s_of(alpha), _s_of(beta)))
-    if clause == 2:
-        return alpha + beta - 1.0 + math.exp(
-            -exponent(_s_of_one_minus(alpha), _s_of_one_minus(beta)))
-    if clause == 3:
-        return alpha
-    return beta
+    e = math.exp(-((x - y) ** 2 + 2.0 * one_minus * x * y)
+                 / (2.0 * one_minus * (1.0 + rho)))
+    return min(alpha, beta, e if clause == 1 else alpha + beta - 1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -515,7 +512,7 @@ def theta_profile(alpha: float, rho: float) -> ThetaProfile:
     if alpha <= 0.0 or alpha >= 1.0 or rho * rho == 0.0:
         return ThetaProfile(alpha, rho, 0.0, 0.0, (), (), None)
     edges = _region_edges(alpha, rho)
-    s, sh = _s_of(alpha), _s_of_one_minus(alpha)
+    s, sh = map(float, _s_pair(alpha))
     if rho == 1.0:
         return ThetaProfile(alpha, rho, s, sh, edges, (alpha,), None)
     b_rs, b_sr, b_hrs, b_hsr = edges

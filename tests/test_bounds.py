@@ -27,6 +27,8 @@ def test_q_log_basic():
         assert ns.q_log(0.5, q) == pytest.approx(math.log(0.5), abs=1e-9)
     with pytest.raises(ValueError):
         ns.q_log(0.0, 2.0)
+    with pytest.raises(ArithmeticError):  # (1e-300)^-11 is beyond float range
+        ns.q_log(1e-300, -10.0)
 
 
 def test_phi_spec_endpoint_conventions():
@@ -43,6 +45,25 @@ def test_phi_spec_endpoint_conventions():
     assert float(q2s(0.3)) == pytest.approx(2 * 0.09 - 2 * 0.3, abs=1e-14)
     half = ns.phi_q_asymmetric(0.5)
     assert float(half(0.0)) == 0.0
+
+
+@pytest.mark.parametrize("q", [0.5, 1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9,
+                               1 - 1e-6, 1 + 1e-6, 1.001, 2.0, 3.0])
+def test_phi_q_within_an_ulp_or_so_of_exact(q):
+    # as q -> 1 the power form (t^q - t)/(q - 1) cancels to ~7e-17/|q - 1|
+    # absolute, so this holds only for a form without the cancellation
+    ts = [0.0, 1e-300, 1e-12, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1 - 1e-16, 1.0]
+    got = ns.phi_q_asymmetric(q)(np.array(ts))
+    with mp.workdps(60):
+        mq = mp.mpf(q)
+        want = [float((mp.mpf(t) ** mq - t) / (mq - 1)) for t in ts]
+    err = max(abs(g - w) for g, w in zip(got.tolist(), want))
+    assert err <= 2.3e-16, (q, err)
+
+
+def test_gamma_phi_q_near_one_meets_the_q_one_value():
+    near = ns.gamma_phi(0.3, 0.5, ns.phi_q_asymmetric(1 + 1e-9))
+    assert near == pytest.approx(ns.gamma_phi(0.3, 0.5, ns.phi_one_asymmetric()), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +123,12 @@ def test_big_theta_at_most_min_near_rho_one():
     grid = np.linspace(1e-3, 1 - 1e-3, 80).tolist()
     for rho in (1 - 1e-9, 1 - 1e-12, 1 - 1e-15):
         excess = max(ns.big_theta(a, b, rho) - min(a, b) for a in grid for b in grid)
+        assert excess <= 0.0, (rho, excess)
+    # and at every rho down to the subnormals, where s = sqrt(-2 ln x) must
+    # not be clamped and rounding must not lift an exponential clause
+    tiny = [*(10.0 ** -np.arange(1.0, 324.0, 6.0)).tolist(), 1e-310, 5e-324]
+    for rho in (0.1, 0.5, 0.9):
+        excess = max(ns.big_theta(a, b, rho) - min(a, b) for a in tiny for b in tiny)
         assert excess <= 0.0, (rho, excess)
 
 
@@ -192,15 +219,16 @@ def test_profile_classification_total():
 def test_profile_classification_total_down_to_tiny_alpha(rho):
     # below alpha = 2^-53, 1 - alpha rounds to 1: the E2 edges must still
     # come out above 0, or the small-beta lanes fall in no clause
-    small = (10.0 ** -np.arange(1.0, 321.0, 7.0)).tolist()
+    small = [*(10.0 ** -np.arange(1.0, 321.0, 7.0)).tolist(), 1e-310, 5e-324]
     for alpha in (10.0 ** -np.arange(1.0, 301.0)).tolist():
         prof = ns.theta_profile(alpha, rho)
         special = {0.0, 1.0, *prof.edges, *prof.clause_boundaries}
         near = {float(np.nextafter(b, d)) for b in special for d in (-1.0, 2.0)}
         betas = sorted(special | near | set(small))
-        assert np.isfinite(prof.value(np.array(betas))).all()  # raises if uncovered
-        for b in betas[::5]:
-            assert 0.0 <= ns.big_theta(alpha, b, rho) <= alpha * (1.0 + 1e-12)
+        values = prof.value(np.array(betas))  # raises if uncovered
+        assert ((0.0 <= values) & (values <= 1.0)).all()
+        for b in betas[::5]:  # a beta below 0 counts as 0
+            assert 0.0 <= ns.big_theta(alpha, b, rho) <= min(alpha, max(b, 0.0))
 
 
 @pytest.mark.parametrize("alpha, rho", [
@@ -1018,7 +1046,7 @@ BORELL_PINNED = {
                 "-0.6802495908427058", "-0.5625895171294539", "-0.31190300240778884",
                 "-0.4904985309062602", "-0.4018359084971158", "-0.21998999431381544"),
     "q-asym:2": ("-0.08872739978844911", "-0.0754403057476193", "-0.0426772336522232",
-                 "-0.20513709403536068", "-0.16362897251889566", "-0.08651601744190285",
+                 "-0.20513709403536068", "-0.1636289725188956", "-0.08651601744190285",
                  "-0.24363210340012179", "-0.1913883443775193", "-0.09973352384254767",
                  "-0.15682033649698168", "-0.12791406298091773", "-0.06915396511544956"),
 }

@@ -127,6 +127,16 @@ def test_gamma_command_routes(capsys):
     assert main(["gamma", "--eps", "0.1", "--rho", "0.6", "--phi", "q-sym"]) == 2
 
 
+def test_gamma_q_asym_answers_at_q_near_one(capsys):
+    # a Phi_q that cancels to ~7e-17/|q - 1| here is noisy enough to fail
+    # the quadrature's error budget (exit 2)
+    code, out = run(["gamma", "--eps", "0.3", "--rho", "0.5", "--phi", "q-asym",
+                     "--q", "1.00000001", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(
+        ns.gamma_phi(0.3, 0.5, ns.phi_one_asymmetric()), abs=1e-7)
+
+
 def test_bounds_table_shows_published(capsys):
     code, out = run(["bounds-table", "--rho", "0.914"], capsys)
     assert code == 0
