@@ -132,16 +132,17 @@ def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
     Lane-wise over the broadcast shape of lo, hi and fn's values (fn maps
     an array of points to an array of values): each lane stops on its own,
     exactly as a one-lane call would.  A BracketError names the first lane
-    without a sign change, with fn's values; a 0-d result is a float.  Of
-    fn's values, at the bracket ends and at the midpoints, only the signs
-    and exact zeros are read, so an fn that agrees with another on both,
-    such as a sign filter's, gives that function's roots bit for bit (and
-    its BracketError texts up to the digits of the values).
+    without a sign change (a nan end has none), with fn's values; a 0-d
+    result is a float.  Of fn's values, at the bracket ends and at the
+    midpoints, only the signs and exact zeros are read, so an fn that
+    agrees with another on both, such as a sign filter's, gives that
+    function's roots bit for bit (and its BracketError texts up to the
+    digits of the values).
     """
     flo, fhi = fn(lo), fn(hi)
     lo, hi, flo, fhi = (np.array(a, dtype=float)
                         for a in np.broadcast_arrays(lo, hi, flo, fhi))
-    no_change = (flo != 0.0) & (fhi != 0.0) & ((flo < 0) == (fhi < 0))
+    no_change = ~(np.sign(flo) * np.sign(fhi) <= 0.0)  # and a nan at an end
     if no_change.any():
         k = np.flatnonzero(no_change)[0]
         a, b, fa, fb = (float(x.flat[k]) for x in (lo, hi, flo, fhi))
@@ -751,7 +752,8 @@ def eps_star(rho, hc=None):
 
     Every sign read from the root equation goes through `_sign_filter`, so
     it is the one libm's logs give, and so is every root.  The bracket ends
-    of every lane, four left anchors and 1/2 - 1e-12, are read in one call.
+    of every lane, four left anchors and 1/2 - 1e-12, are read in one call,
+    and so are the signs either side of every root.
     """
     rho = np.asarray(rho, dtype=float)
     if not np.all((0.0 < rho) & (rho < 1.0)):
@@ -779,7 +781,8 @@ def eps_star(rho, hc=None):
                                lo[ok], 0.5 - 1e-12, tol=1e-12)
     # the equation is O(rho^2): a small residual proves nothing, a sign
     # change does
-    unresolved |= ~((sign(root - 1e-9) < 0.0) & (0.0 < sign(root + 1e-9)))
+    below, above = sign(np.stack([root - 1e-9, root + 1e-9]))
+    unresolved |= ~((below < 0.0) & (0.0 < above))
     if unresolved.any():
         first = float(rho.flat[np.flatnonzero(unresolved)[0]])
         raise RuntimeError(
@@ -796,8 +799,8 @@ def _h_centered(x):
     h(1/2 + x) + ln 2 keeps none.
 
     `within_eps_star` reads eps_star's root equation through it.  eps_star
-    itself moves onto it at the certificate's next re-pin (ROADMAP,
-    "eps_star on all of (0, 1)"), which moves two grid roots inside the
+    itself moves onto it at the certificate's next re-pin (ROADMAP item 3,
+    "eps_star on `_h_centered`"), which moves two grid roots inside the
     bisection's 1e-12 stop; `_eps_star_sides` then gives way to it."""
     return x * np.log1p(2.0 * x) - x * np.log1p(-2.0 * x) + 0.5 * np.log1p(-4.0 * x * x)
 
@@ -816,10 +819,14 @@ def within_eps_star(eps, rho: float):
     x0 = -rho/2, x1 = x0 + rho e, with G = `_h_centered`: O(1) at every rho,
     so the test answers for every rho in (0, 1) at which G(x0), about
     rho^2/2, is a normal double, rho above about 2e-154.  Below that it
-    raises RuntimeError naming rho; rho outside (0, 1) raises ValueError.
+    raises RuntimeError naming rho; rho outside (0, 1), or an eps that is
+    nan or outside [0, 1/2], raises ValueError.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("within_eps_star requires rho in (0, 1)")
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((0.0 <= eps) & (eps <= 0.5)):
+        raise ValueError("within_eps_star requires eps in [0, 1/2]")
     x0 = -rho / 2.0
     g0 = float(_h_centered(x0))
     if g0 < np.finfo(float).tiny:
@@ -827,7 +834,6 @@ def within_eps_star(eps, rho: float):
             f"within_eps_star cannot decide at rho={rho}: the root equation "
             "is O(rho^2), and double precision holds it as a normal number "
             "only for rho above about 2e-154")
-    eps = np.asarray(eps, dtype=float)
     r2 = rho * rho
     slope = 2.0 * float(h((1.0 - rho) / 2.0)) / (1.0 - r2)
     return (_h_centered(x0 + rho * eps) - g0) / r2 - slope * eps <= 0.0

@@ -55,9 +55,9 @@ def _finite(record: dict) -> dict:
 
 
 def _csv(header, rows) -> str:
-    """A header line, then one line per row: floats by repr, the rest by str."""
+    """A header line, then one line per row: floats by repr(float), the rest by str."""
     return "\n".join([",".join(header)] + [
-        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
         for row in rows])
 
 

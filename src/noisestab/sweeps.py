@@ -28,23 +28,19 @@ exact integers, so the blocks change no bit.  The n = 4 family has 69
 classes of 12,870 rows, n = 3 has 6 of 70, and an n = 5 sample of 2,000
 has about 1,980.
 
-A family also keeps the distinct codes present in it, and each class's
-sorted codes as indices into them.  A Phi mean evaluates Phi once per
-code present, gathers it by index and averages over the sorted codes,
-which equals Phi on the gathered T bit for bit, and every member of a
-class gives the same bits whatever rows share its call.  That is 90
-codes at n = 4 (of 700 possible) and 920 and 871 in the n = 5 samples of
-2,000 at seeds 0 and 1000 (of 17,424).  `noised` keeps the dense table:
-the envelope check calls it on a family's ~1,980 representatives at n =
-5, and mapping their 63,360 codes to the codes present (by the mask
-`_family` uses) and decoding those took 0.31 ms, against 0.10 ms for the
-dense gather (2.4 ms through np.unique).
+A family also keeps the distinct codes and keys present in it
+(`_distinct`), and each class's sorted codes and keys as indices into
+them.  Phi, or a per-key bound, is evaluated once per code, or key,
+present and gathered by index, which equals Phi on the gathered T bit for
+bit.  That is 90 codes at n = 4 (of 700) and 920 and 871 in the n = 5
+samples of 2,000 at seeds 0 and 1000 (of 17,424).  `noised` keeps the
+dense table: on a family's ~1,980 representatives at n = 5, mapping their
+63,360 codes to the codes present (by `_distinct`'s mask) and decoding
+those took 0.31 ms, against 0.10 ms for the dense gather.
 
-The tables depend on neither rho nor the check, and the checks are called
-one at a time with the same F, so `_family` remembers the last family: a
-call with the same array object, the same n and the same 0/1 entries
-(compared packed on every call) reuses it; any other array, even an
-equal one, rebuilds.
+The tables depend only on n and the 0/1 entries of F, so `_family` keeps
+the last family under them (packed, compared on every call): an array of
+the same shape, n and entries, a copy included, reuses it.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -191,28 +186,37 @@ def _phi_from_name(name: str) -> bounds.PhiSpec:
 
 
 def _dictator_keys(F: np.ndarray, n: int) -> np.ndarray:
-    """The distances d~_i(f) as integers round(2^n d~_i(f)) in 0..2^{n-1}."""
-    return np.round(dictator_distances(F, n) * 2 ** n).astype(np.int64)
+    """The distances d~_i(f) as the integers 2^n d~_i(f) = 2^(n-1) - |sum_x
+    f(x) chi_i(x)| in 0..2^(n-1), exact: the sums are of integers."""
+    return 2 ** (n - 1) - np.abs(F @ chi_matrix(n)[:, 1 << np.arange(n)]).astype(np.int64)
+
+
+def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in 0..size-1 of an intp array, increasing, and
+    each entry's index into them, by a mask (np.unique's sort costs ~8x)."""
+    seen = np.zeros(size, bool)
+    seen[values] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
 
 
 @dataclass(frozen=True)
 class _Family:
     """The rho-independent tables of a 0/1 family, one row per class of
     rows with equal sorted codes and equal sorted dictator keys: a
-    representative 0/1 row, its sorted codes as intp indices into
-    `present` (the distinct codes of the family, increasing), its sorted
-    keys as intp, and the number of rows in the class.  The arrays are
-    read-only."""
+    representative 0/1 row, its sorted codes as indices into `codes` (the
+    distinct codes of the family, increasing), its sorted keys as indices
+    into `keys` (the distinct keys, increasing), and the number of rows in
+    the class.  The arrays are read-only."""
 
     reps: np.ndarray
-    present: np.ndarray
-    index: np.ndarray
+    codes: np.ndarray
+    code_index: np.ndarray
     keys: np.ndarray
+    key_index: np.ndarray
     counts: np.ndarray
 
 
-#: The last family `_family` built: (weak reference to F, n, F's shape,
-#: F's packed 0/1 mask, tables).
+#: The last family `_family` built: ((n, F's shape, F's packed mask), tables).
 _last_family: tuple | None = None
 
 
@@ -236,14 +240,12 @@ def _sorted_rows(F: np.ndarray, n: int) -> np.ndarray:
 
 def _family(F: np.ndarray, n: int) -> _Family:
     """The class tables of the 0/1 rows of F (module docstring).  Every
-    call rejects an entry other than 0 or 1; a call on the array object,
-    n and 0/1 entries of the last call reuses its tables."""
+    call rejects an entry other than 0 or 1; a call with the n, shape and
+    0/1 entries of the last call reuses its tables."""
     global _last_family
-    packed = np.packbits(_ones(F))
-    last = _last_family
-    if (last is not None and last[0]() is F and last[1:3] == (n, F.shape)
-            and np.array_equal(last[3], packed)):
-        return last[4]
+    key = (n, F.shape, np.packbits(_ones(F)).tobytes())
+    if _last_family is not None and _last_family[0] == key:
+        return _last_family[1]
     N = 2 ** n
     rows = _sorted_rows(F, n)
     whole = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -251,27 +253,19 @@ def _family(F: np.ndarray, n: int) -> _Family:
     # class rows, widened to intp: numpy indexes by intp several times
     # faster than by a narrow type
     codes, keys = rows[first, :N].astype(np.intp), rows[first, N:].astype(np.intp)
-    # number the codes present in increasing order, through a mask over
-    # all codes (np.unique's sort of every class's codes costs ~8x more)
-    seen = np.zeros(len(_code_basis(n)[1]), bool)
-    seen[codes] = True
-    tables = (F[first], np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes], keys, counts)
+    tables = (F[first], *_distinct(codes, len(_code_basis(n)[1])),
+              *_distinct(keys, N // 2 + 1), counts)
     for table in tables:
         table.setflags(write=False)
     family = _Family(*tables)
-    _last_family = (weakref.ref(F), n, F.shape, packed, family)
+    _last_family = (key, family)
     return family
 
 
-def _coordinate_bounds(keys: np.ndarray, n: int, bound) -> np.ndarray:
-    """bound(d~_i(f)) for every row f and coordinate i, given their
-    `_dictator_keys`, with one call of `bound` per distinct key (in
-    increasing order), read back through a table indexed by key."""
-    N = 2 ** n
-    present = np.flatnonzero(np.bincount(keys.ravel(), minlength=N // 2 + 1))
-    table = np.full(N // 2 + 1, np.nan)
-    table[present] = [bound(k / N) for k in present.tolist()]
-    return table[keys]
+def _coordinate_bounds(fam: _Family, n: int, bound) -> np.ndarray:
+    """bound(d~_i(f)) for every class f and coordinate i, with one call of
+    `bound` per distinct key, in increasing order, gathered by key index."""
+    return np.array([bound(k / 2 ** n) for k in fam.keys.tolist()])[fam.key_index]
 
 
 def envelope_check(n: int, rho: float, F: np.ndarray,
@@ -307,13 +301,13 @@ def gamma_bound_check(n: int, rho: float, F: np.ndarray,
                       tol: float = 1e-7) -> CheckResult:
     """Stability under each convex test never exceeds min_i Gamma(d~_i)."""
     fam = _family(F, n)
-    values = _code_values(n, rho)[fam.present]
+    values = _code_values(n, rho)[fam.codes]
     worst = -math.inf
     for name in GAMMA_PHIS:
         phi = _phi_from_name(name)
         gmin = _coordinate_bounds(
-            fam.keys, n, lambda e: bounds.gamma_phi(e, rho, phi)).min(axis=1)
-        stab = _phi_means(fam.index, values, phi.fn)
+            fam, n, lambda e: bounds.gamma_phi(e, rho, phi)).min(axis=1)
+        stab = _phi_means(fam.code_index, values, phi.fn)
         worst = max(worst, float((stab - gmin).max()))
     return CheckResult("gamma", n, rho, F.shape[0], worst, tol, worst <= tol)
 
@@ -324,11 +318,11 @@ def q_bound_check(n: int, rho: float, F: np.ndarray,
     for q > 1 at every coordinate (hence at the min), lower bound for
     0 < q < 1 (hence at the max)."""
     fam = _family(F, n)
-    values = _code_values(n, rho)[fam.present]
+    values = _code_values(n, rho)[fam.codes]
     worst = -math.inf
     for q in Q_UPPER + Q_LOWER:
-        coords = _coordinate_bounds(fam.keys, n, lambda e: bounds.gamma_q(e, rho, q))
-        moment = _phi_means(fam.index, values, lambda T: T ** q)
+        coords = _coordinate_bounds(fam, n, lambda e: bounds.gamma_q(e, rho, q))
+        moment = _phi_means(fam.code_index, values, lambda T: T ** q)
         excess = moment - coords.min(axis=1) if q > 1.0 else coords.max(axis=1) - moment
         worst = max(worst, float(excess.max()))
     return CheckResult("qstab", n, rho, F.shape[0], worst, tol, worst <= tol)
@@ -338,7 +332,7 @@ def ck_check(n: int, rho: float, F: np.ndarray, tol: float = 1e-9) -> CheckResul
     """Symmetric 1-stability never exceeds the dictator value
     Phi_1^sym((1+rho)/2) (the conjecture at desk scale)."""
     fam = _family(F, n)
-    stab = _phi_means(fam.index, _code_values(n, rho)[fam.present], bounds.h)
+    stab = _phi_means(fam.code_index, _code_values(n, rho)[fam.codes], bounds.h)
     worst = float((stab - bounds.h((1.0 + rho) / 2.0)).max())
     return CheckResult("ck", n, rho, F.shape[0], worst, tol, worst <= tol)
 
@@ -348,17 +342,17 @@ def local_optimality_check(n: int, rho: float, F: np.ndarray,
     """Functions within eps_star(rho) of some dictator have 1-stability
     at most the dictator value h((1-rho)/2)/2.
 
-    Each key 0..2^(n-1) is put within eps_star or not by the sign of the
+    Each distinct key is put within eps_star or not by the sign of the
     root equation at its distance (`bounds.within_eps_star`), with no root
     computed, so the check answers at every rho in (0, 1) above about
     2e-154 and raises, naming rho, below it."""
     fam = _family(F, n)
-    N = 2 ** n
-    # a key is 2^n times its distance, exactly
-    near = bounds.within_eps_star(np.arange(N // 2 + 1) / N, rho)[fam.keys.min(axis=1)]
+    # a key is 2^n times its distance, exactly; key indices increase with
+    # the key, so a class's least index is its nearest coordinate's
+    near = bounds.within_eps_star(fam.keys / 2 ** n, rho)[fam.key_index.min(axis=1)]
     dict_val = 0.5 * float(bounds.h((1.0 - rho) / 2.0))
     if near.any():
-        stab1 = _phi_means(fam.index[near], _code_values(n, rho)[fam.present],
+        stab1 = _phi_means(fam.code_index[near], _code_values(n, rho)[fam.codes],
                            bounds.phi_one_asymmetric().fn)
         worst = float((stab1 - dict_val).max())
     else:

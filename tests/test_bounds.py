@@ -45,6 +45,10 @@ def test_phi_spec_endpoint_conventions():
     assert float(q2s(0.3)) == pytest.approx(2 * 0.09 - 2 * 0.3, abs=1e-14)
     half = ns.phi_q_asymmetric(0.5)
     assert float(half(0.0)) == 0.0
+    # at q = 1 the q family is built on t ln t
+    assert ns.phi_q_asymmetric(1.0).kind == "one-asym"
+    ts = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(ns.phi_q_symmetric(1.0)(ts), sym(ts), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("q", [0.5, 1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9,
@@ -764,6 +768,9 @@ def test_within_eps_star_fails_closed():
     for rho in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match=r"requires rho in \(0, 1\)"):
             within_eps_star(ALL_KEYS, rho)
+    for eps in (np.array([math.nan, -1.0]), -1.0, 0.6, math.nan, [0.25, math.inf]):
+        with pytest.raises(ValueError, match=r"requires eps in \[0, 1/2\]"):
+            within_eps_star(eps, 0.5)
 
 
 def test_bisect_root_errors_and_lanes():
@@ -775,6 +782,11 @@ def test_bisect_root_errors_and_lanes():
     with pytest.raises(BracketError) as exc:
         bisect_root(lambda x: x - np.array([0.5, 2.0, 3.0]), 0.0, 1.0)
     assert str(exc.value) == "no sign change on [0.0, 1.0]: f=-2.0, -1.0"
+    # a nan end is no sign change, though f < 0 on all of (0, 1]
+    with pytest.raises(BracketError) as exc:
+        bisect_root(lambda x: np.where(np.asarray(x) <= 0, np.nan, np.asarray(x) - 2.0),
+                    0.0, 1.0)
+    assert str(exc.value) == "no sign change on [0.0, 1.0]: f=nan, -1.0"
     # each lane stops on its own: exact zeros at either end and mid-way,
     # and the tolerance
     roots = np.array([0.0, 1.0, 0.5, 0.3])

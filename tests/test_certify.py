@@ -205,6 +205,24 @@ def test_phi_ratio_equal_slope_pairs_sum_above_one():
     assert not bad.any(), list(zip(t1[bad], t2[bad]))
 
 
+@pytest.mark.parametrize("bias", [1e-6, math.nan])
+def test_t_rho_residual_failure_names_first_rho(monkeypatch, bias):
+    # a libm side that misses the root equation by 1e-6, or is nan, fails
+    # the residual test, naming the first rho
+    from noisestab import certify
+    real = certify._t_rho_sides
+
+    def biased(t, a_coef, target, libm=False):
+        a, b = real(t, a_coef, target, libm)
+        return (a + bias, b) if libm else (a, b)
+
+    monkeypatch.setattr(certify, "_t_rho_sides", biased)
+    rhos = np.array([0.6, 0.7, 0.8])
+    om, _ = ns.omega_max(0.7)
+    with pytest.raises(RuntimeError, match=r"t_rho residual too large at rho=0\.6$"):
+        certify._t_rho_given(rhos, om)
+
+
 def test_t_rho_published_value_and_residual():
     tr = ns.t_rho(RHO_STAR)
     assert tr == pytest.approx(0.663100, abs=1e-4)

@@ -145,6 +145,22 @@ def test_bounds_table_shows_published(capsys):
     assert "0.195055" in out and "-0.00169063" in out
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["eps-star", "--rho", "0.914"], ()),
+    (["gamma", "--eps", "0.1", "--rho", "0.7", "--phi", "one-sym"], ("bound", "phi")),
+    (["bounds-table", "--rho", "0.914"], ()),
+])
+def test_csv_pairs_write_numbers_as_float_literals(argv, names, capsys):
+    # every value but a name parses as a float: a numpy scalar is not
+    # written as its repr, np.float64(...)
+    code, out = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    header, row = out.strip().split("\n")
+    for key, value in zip(header.split(","), row.split(","), strict=True):
+        if key not in names:
+            float(value)
+
+
 # ---------------------------------------------------------------------------
 # brute
 # ---------------------------------------------------------------------------

@@ -262,6 +262,11 @@ def test_e_gamma_values():
     assert ns.e_gamma(g, 0.0) == pytest.approx(0.5, abs=1e-15)
     assert ns.e_gamma(g, 0.9) == 0.0
     assert ns.e_gamma(g, 0.5) == pytest.approx(0.15, abs=1e-15)
+    # the decreasing rearrangement of a field has the field's E_gamma
+    g = ns.noise_apply(ns.BooleanFunction.from_support(3, [0, 1, 3, 7]), 0.4)
+    spec = ns.decreasing_rearrangement(g)
+    for gamma in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0):
+        assert abs(ns.e_gamma(spec, gamma) - ns.e_gamma(g, gamma)) <= 1e-15
 
 
 def test_majorizes_reflexive_and_constant_minimal():
@@ -604,9 +609,10 @@ CHECKS = (sweeps.envelope_check, sweeps.gamma_bound_check, sweeps.q_bound_check,
 def test_family_tables_built_once_per_array(monkeypatch):
     # the class tables depend on neither rho nor the check: five checks at
     # three rhos build the family's sorted row table once; an equal array
-    # that is another object builds its own
+    # that is another object reuses them, as they are keyed on content
     n = 3
     F = sweeps.balanced_supports(n)
+    monkeypatch.setattr(sweeps, "_last_family", None)
     seen = []
     real = sweeps._sorted_rows
     monkeypatch.setattr(sweeps, "_sorted_rows",
@@ -616,7 +622,7 @@ def test_family_tables_built_once_per_array(monkeypatch):
     assert len(sweeps._family(F, n).counts) == 6
     G = sweeps.balanced_supports(n)
     assert [check(n, 0.5, G) for check in CHECKS] == results[5:10]
-    assert sum(H is G for H in seen) == 1
+    assert sum(H is G for H in seen) == 0
 
 
 def test_family_tables_see_writes_into_F():
