@@ -50,6 +50,12 @@ One round of a Gamma integrand evaluates all of its distinct profiles at
 once: `_theta` broadcasts the clause data of P profiles as columns against
 the row of nodes, and `ThetaProfile.value` is its one-row case, so each
 lane does the same arithmetic either way.
+
+A Gamma quadrature but for Phi and its later rounds depends on (eps, k,
+rho) alone: the profiles, the noise kernel, the forced points, and the
+first round's nodes with the row mixtures at them.  `gamma_vec` keeps that
+part for the last key (tuple(eps), k, rho), so the Phis of one key in a row
+build it once, and each gets a fresh call's value bit for bit.
 """
 
 from __future__ import annotations
@@ -120,7 +126,8 @@ def q_log(t: float, q: float) -> float:
 
 
 class BracketError(RuntimeError):
-    """A root bracket did not change sign; no root was guessed."""
+    """A root bracket did not change sign, or a midpoint's sign was nan;
+    no root was guessed."""
 
 
 _BISECT_MAX_ITER = 200
@@ -132,8 +139,9 @@ def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
     Lane-wise over the broadcast shape of lo, hi and fn's values (fn maps
     an array of points to an array of values): each lane stops on its own,
     exactly as a one-lane call would.  A BracketError names the first lane
-    without a sign change (a nan end has none), with fn's values; a 0-d
-    result is a float.  Of fn's values, at the bracket ends and at the
+    without a sign change (a nan end has none), with fn's values, or the
+    first live lane where fn is nan at the midpoint, with its bracket; a
+    0-d result is a float.  Of fn's values, at the bracket ends and at the
     midpoints, only the signs and exact zeros are read, so an fn that
     agrees with another on both, such as a sign filter's, gives that
     function's roots bit for bit (and its BracketError texts up to the
@@ -159,6 +167,11 @@ def bisect_root(fn: Callable, lo, hi, tol: float = 1e-12):
             break
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
+        nan = live & np.isnan(fmid)
+        if nan.any():
+            k = np.flatnonzero(nan)[0]
+            a, b, m = (float(x.flat[k]) for x in (lo, hi, mid))
+            raise BracketError(f"f is nan at the midpoint {m} of [{a}, {b}]")
         zero = fmid == 0.0
         same = (fmid < 0) == neg_lo
         # np.where, not copyto(where=): a scattered mask copies ~3x faster
@@ -572,11 +585,39 @@ _QUAD_ERROR_BUDGET = 1e-10
 _QUAD_SPLIT = 8
 
 
-def _integrate_unit(fn: Callable, inner_points) -> float:
+def _first_round(inner_points) -> tuple:
+    """The layout `_integrate_unit` starts from: the pieces of [0, 1]
+    between the forced points, as arrays (start, end), the first round's
+    subintervals (piece, lo, hi) in u, each piece split into _QUAD_SPLIT
+    equal parts, and their `_round_nodes`; six entries in that order."""
+    edges = np.array([0.0, *sorted(p for p in set(inner_points) if 0.0 < p < 1.0), 1.0])
+    start, end = edges[:-1], edges[1:]
+    piece, part = np.divmod(np.arange(start.size * _QUAD_SPLIT), _QUAD_SPLIT)
+    lo, hi = part / _QUAD_SPLIT, (part + 1) / _QUAD_SPLIT
+    return start, end, piece, lo, hi, _round_nodes(start, end, piece, lo, hi)
+
+
+def _round_nodes(start, end, piece, lo, hi):
+    """A round's 21 nodes on each subinterval [lo, hi] in u of its piece:
+    (half, v, w, beta), the half width in u, the nodes' u measured from
+    the nearer end of the piece, the piece's width and the nodes' beta,
+    taken from that nearer end (`_integrate_unit`)."""
+    half = 0.5 * (hi - lo)
+    u = (lo + half)[:, None] + half[:, None] * _GK_NODES
+    v = np.minimum(u, 1.0 - u)
+    grade = v * v * (3.0 - 2.0 * v)
+    w = (end - start)[piece][:, None]
+    beta = np.where(u <= 0.5, start[piece][:, None] + w * grade,
+                    end[piece][:, None] - w * grade)
+    return half, v, w, beta
+
+
+def _integrate_unit(fn: Callable, inner_points, first: tuple | None = None) -> float:
     """Adaptive Gauss-Kronrod quadrature over [0, 1], split first into
     pieces at the forced points.  fn is lane-wise (an array of beta to an
     array of values): each round makes one call of it on the 21 nodes of
-    every live subinterval of every piece.
+    every live subinterval of every piece.  `first` is the layout
+    `_first_round(inner_points)`, for a caller that holds it already.
 
     Each piece [a, a + w] is integrated in u in [0, 1] through the graded
     map beta = a + w u^2 (3 - 2u) with weight 6 w u (1 - u), which turns
@@ -601,22 +642,13 @@ def _integrate_unit(fn: Callable, inner_points) -> float:
     live subintervals as they are.
     Raises RuntimeError when the summed estimate exceeds _QUAD_ERROR_BUDGET.
     """
-    edges = np.array([0.0, *sorted(p for p in set(inner_points) if 0.0 < p < 1.0), 1.0])
-    start, end = edges[:-1], edges[1:]
-    width = end - start
-    piece, part = np.divmod(np.arange(start.size * _QUAD_SPLIT), _QUAD_SPLIT)
-    lo, hi = part / _QUAD_SPLIT, (part + 1) / _QUAD_SPLIT  # in u
+    start, end, piece, lo, hi, nodes = first or _first_round(inner_points)
     size = np.full(start.size, _QUAD_SPLIT)  # subintervals of each piece
     total = error = 0.0  # over the accepted subintervals
     while lo.size:
-        half = 0.5 * (hi - lo)
-        u = (lo + half)[:, None] + half[:, None] * _GK_NODES
-        v = np.minimum(u, 1.0 - u)  # u measured from the nearer end
-        grade = v * v * (3.0 - 2.0 * v)
-        w = width[piece][:, None]
-        beta = np.where(u <= 0.5, start[piece][:, None] + w * grade,
-                        end[piece][:, None] - w * grade)
-        fx = np.asarray(fn(beta.ravel()), dtype=float).reshape(u.shape)
+        half, v, w, beta = nodes or _round_nodes(start, end, piece, lo, hi)
+        nodes = None
+        fx = np.asarray(fn(beta.ravel()), dtype=float).reshape(beta.shape)
         kg = half[:, None] * ((fx * (6.0 * w * v * (1.0 - v))) @ _GK_WEIGHTS)
         value, err = kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
         left = max(1e-12, 1e-11 * abs(total + value.sum())) - error
@@ -662,6 +694,53 @@ def gamma_phi(eps: float, rho: float, phi: PhiSpec) -> float:
     return gamma_vec((1.0 - eps, eps), 1, rho, phi)
 
 
+@dataclass(frozen=True)
+class _GammaSetup:
+    """The Phi-independent part of a Gamma quadrature at one (eps, k, rho):
+    the distinct profiles' clause data stacked as (7, P, 1) columns, the
+    profile index of each eps entry (`rows`), the noise kernel, the forced
+    points, the first round's layout (`_first_round`), its nodes as one
+    flat array, and the row mixtures kernel @ theta at them.  The arrays
+    are read-only."""
+
+    stack: np.ndarray
+    rows: np.ndarray
+    kernel: np.ndarray
+    points: frozenset
+    first: tuple
+    nodes: np.ndarray
+    mixtures: np.ndarray
+
+
+#: The last Gamma setup `gamma_vec` built: ((tuple(eps), k, rho), setup).
+_last_gamma: tuple | None = None
+
+
+def _gamma_setup(eps: tuple, k: int, rho: float) -> _GammaSetup:
+    """The setup of `gamma_vec` at (eps, k, rho), reused when the key
+    equals the last call's; it is stored only once it is complete."""
+    global _last_gamma
+    key = (eps, k, rho)
+    if _last_gamma is not None and _last_gamma[0] == key:
+        return _last_gamma[1]
+    alphas = list(dict.fromkeys(eps))
+    rows = np.array([alphas.index(e) for e in eps])
+    profiles = [theta_profile(a, rho) for a in alphas]
+    stack = np.array([p.clause_data for p in profiles]).T[:, :, None]
+    kernel = noise_kernel(k, rho)
+    if np.abs(kernel.sum(axis=1) - 1.0).max() > 1e-12:
+        raise AssertionError("weight row does not sum to 1")
+    points = frozenset().union(*(p.clause_boundaries for p in profiles))
+    first = _first_round(points)
+    nodes = first[-1][-1].ravel()  # the beta of its `_round_nodes`
+    mixtures = kernel @ _theta(stack, rho, nodes)[rows]
+    for table in (stack, rows, kernel, mixtures, *first[:-1], *first[-1]):
+        table.setflags(write=False)
+    setup = _GammaSetup(stack, rows, kernel, points, first, nodes, mixtures)
+    _last_gamma = (key, setup)
+    return setup
+
+
 def gamma_vec(eps: Sequence[float], k: int, rho: float, phi: PhiSpec) -> float:
     """Vector bound over restrictions to a k-coordinate subcube,
 
@@ -674,27 +753,30 @@ def gamma_vec(eps: Sequence[float], k: int, rho: float, phi: PhiSpec) -> float:
     to 1.  Each quadrature round makes one `_theta` call for the distinct
     profiles stacked, on all of its nodes, and evaluates Phi once on the
     (2^k, nodes) array of row mixtures K @ theta.
+
+    The part that does not depend on Phi (`_GammaSetup`) is kept for the
+    last key (tuple(eps), k, rho), compared exactly and in order: the Phis
+    of one key in a row pay only for Phi, the refinement rounds and the
+    stop rule.  The inputs are checked on every call.
     """
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError("k must be a non-negative integer")
     if len(eps) != 2 ** k:
         raise ValueError("eps must have length 2^k")
     if any(not 0.0 <= e <= 1.0 for e in eps):
         raise ValueError("entries of eps must lie in [0, 1]")
     if not phi.convex:
         raise ValueError("Gamma requires a convex test function")
-    alphas = list(dict.fromkeys(eps))
-    rows = np.array([alphas.index(e) for e in eps])
-    profiles = [theta_profile(a, rho) for a in alphas]
-    stack = np.array([p.clause_data for p in profiles]).T[:, :, None]
-    kernel = noise_kernel(k, rho)
-    if np.abs(kernel.sum(axis=1) - 1.0).max() > 1e-12:
-        raise AssertionError("weight row does not sum to 1")
+    setup = _gamma_setup(tuple(eps), int(k), rho)
 
     def integrand(beta):
-        column = _theta(stack, rho, beta)[rows]
-        return np.sum(phi(kernel @ column), axis=0) / 2 ** k
+        if np.array_equal(beta, setup.nodes):
+            mixtures = setup.mixtures
+        else:
+            mixtures = setup.kernel @ _theta(setup.stack, rho, beta)[setup.rows]
+        return np.sum(phi(mixtures), axis=0) / 2 ** k
 
-    points = set().union(*(p.clause_boundaries for p in profiles))
-    return _integrate_unit(integrand, points)
+    return _integrate_unit(integrand, setup.points, first=setup.first)
 
 
 def gamma_q(eps: float, rho: float, q: float) -> float:

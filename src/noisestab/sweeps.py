@@ -41,6 +41,11 @@ those took 0.31 ms, against 0.10 ms for the dense gather.
 The tables depend only on n and the 0/1 entries of F, so `_family` keeps
 the last family under them (packed, compared on every call): an array of
 the same shape, n and entries, a copy included, reuses it.
+
+The `gamma` check builds its (distinct key x Phi) table key-major: for each
+key, increasing, one `bounds.gamma_phi` call per Phi in GAMMA_PHIS order.
+The Phis of a key follow each other, so `bounds.gamma_vec` builds that
+key's profiles and first-round mixtures once for all three.
 """
 
 from __future__ import annotations
@@ -264,7 +269,8 @@ def _family(F: np.ndarray, n: int) -> _Family:
 
 def _coordinate_bounds(fam: _Family, n: int, bound) -> np.ndarray:
     """bound(d~_i(f)) for every class f and coordinate i, with one call of
-    `bound` per distinct key, in increasing order, gathered by key index."""
+    `bound` per distinct key, in increasing order, gathered by key index:
+    (classes, n), or (classes, n, m) for a bound that returns m values."""
     return np.array([bound(k / 2 ** n) for k in fam.keys.tolist()])[fam.key_index]
 
 
@@ -299,16 +305,20 @@ def envelope_check(n: int, rho: float, F: np.ndarray,
 
 def gamma_bound_check(n: int, rho: float, F: np.ndarray,
                       tol: float = 1e-7) -> CheckResult:
-    """Stability under each convex test never exceeds min_i Gamma(d~_i)."""
+    """Stability under each convex test never exceeds min_i Gamma(d~_i).
+
+    The (distinct key x Phi) table of Gamma is built key by key, each key's
+    Phis in GAMMA_PHIS order, so that the Phis of one key follow each other
+    and share its profiles and first-round mixtures (`bounds.gamma_vec`)."""
     fam = _family(F, n)
     values = _code_values(n, rho)[fam.codes]
+    phis = [_phi_from_name(name) for name in GAMMA_PHIS]
+    gmin = _coordinate_bounds(
+        fam, n, lambda e: [bounds.gamma_phi(e, rho, phi) for phi in phis]).min(axis=1)
     worst = -math.inf
-    for name in GAMMA_PHIS:
-        phi = _phi_from_name(name)
-        gmin = _coordinate_bounds(
-            fam, n, lambda e: bounds.gamma_phi(e, rho, phi)).min(axis=1)
+    for phi, bound in zip(phis, gmin.T):
         stab = _phi_means(fam.code_index, values, phi.fn)
-        worst = max(worst, float((stab - gmin).max()))
+        worst = max(worst, float((stab - bound).max()))
     return CheckResult("gamma", n, rho, F.shape[0], worst, tol, worst <= tol)
 
 

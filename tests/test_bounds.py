@@ -456,6 +456,104 @@ def test_gamma_vec_rejects_nonconvex_phi():
         ns.gamma_vec([0.2, 0.8], 1, 0.5, concave)
 
 
+@pytest.mark.parametrize("primed", [False, True])
+def test_gamma_vec_checks_its_inputs_on_every_call(primed):
+    # with the memo empty or holding the key the bad input compares equal
+    # to (1.0 == 1), each input is checked before any setup is used
+    from noisestab import bounds
+    phi = ns.phi_one_symmetric()
+    if primed:
+        bounds.gamma_vec([0.3, 0.7], 1, 0.5, phi)
+        assert bounds._last_gamma[0] == ((0.3, 0.7), 1, 0.5)
+    for k in (1.0, -1, "1", None):
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            bounds.gamma_vec([0.3, 0.7], k, 0.5, phi)
+    with pytest.raises(ValueError, match="length 2"):
+        bounds.gamma_vec([0.3, 0.7, 0.5], 1, 0.5, phi)
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            bounds.gamma_vec([0.3, bad], 1, 0.5, phi)
+    with pytest.raises(ValueError, match="convex"):
+        bounds.gamma_vec([0.3, 0.7], 1, 0.5, ns.phi_custom(lambda t: -t * t, convex=False))
+    assert bounds.gamma_vec([0.3, 0.7], np.int64(1), 0.5, phi) == \
+        bounds.gamma_vec((0.3, 0.7), 1, 0.5, phi)
+
+
+def _fresh_gamma_vec(*args):
+    from noisestab import bounds
+    bounds._last_gamma = None
+    return bounds.gamma_vec(*args)
+
+
+def test_gamma_vec_memo_equals_fresh_calls():
+    # every call, made after any other, equals the same call with the memo
+    # cleared, bit for bit: a change of rho alone, a swapped eps, k = 2
+    # vectors in two orders of different value, and an input whose Phi takes
+    # several rounds (gamma_phi(1/2, 0.1, .) takes 3), each key's Phis in a
+    # row and again later
+    from noisestab import bounds
+    phis = [sweeps._phi_from_name(name) for name in sweeps.GAMMA_PHIS]
+    keys = [((0.25, 0.75), 1, 0.6), ((0.25, 0.75), 1, 0.3),
+            ((0.75, 0.25), 1, 0.3), ((0.1, 0.3, 0.5, 0.7), 2, 0.6),
+            ((0.1, 0.7, 0.5, 0.3), 2, 0.6), ((0.5, 0.5), 1, 0.1),
+            ((0.25, 0.75), 1, 0.6)]
+    fresh = {(key, j): _fresh_gamma_vec(*key, phi) for key in keys
+             for j, phi in enumerate(phis)}
+    bounds._last_gamma = None
+    for key in keys + keys[::-1]:
+        for j, phi in enumerate(phis):
+            assert bounds.gamma_vec(*key, phi) == fresh[key, j], (key, j)
+    for j, phi in enumerate(phis):  # Phi-major: a new key on every call
+        for key in keys:
+            assert bounds.gamma_vec(*key, phi) == fresh[key, j], (key, j)
+
+
+def test_gamma_vec_memo_builds_each_key_once(monkeypatch):
+    # three Phis at one key build its two profiles and its kernel once
+    from noisestab import bounds
+    built = []
+    for name in ("theta_profile", "noise_kernel"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, real=real, name=name:
+                            built.append(name) or real(*a))
+    for name in sweeps.GAMMA_PHIS:
+        ns.gamma_phi(0.25, 0.6, sweeps._phi_from_name(name))
+    assert built == ["theta_profile", "theta_profile", "noise_kernel"]
+
+
+def test_gamma_vec_memo_after_a_call_that_raises(monkeypatch):
+    # a call that raises, in the setup or in a refinement round, leaves no
+    # setup behind that the next call with its key would see wrongly
+    from noisestab import bounds
+    phi = ns.phi_one_symmetric()
+    many, one = ((0.5, 0.5), 1, 0.1), ((0.25, 0.75), 1, 0.6)
+    want = {key: _fresh_gamma_vec(*key, phi) for key in (many, one)}
+    bounds._last_gamma = None
+    concave = ns.phi_custom(lambda t: -t * t, convex=False)
+    with pytest.raises(ValueError, match="convex"):
+        bounds.gamma_vec(*many, concave)
+    assert bounds.gamma_vec(*many, phi) == want[many]
+    real = bounds._theta
+
+    def failing(*a):
+        raise ProfileRegionError("injected")
+
+    # a hit whose second round raises, then the same key again
+    monkeypatch.setattr(bounds, "_theta", failing)
+    with pytest.raises(ProfileRegionError, match="injected"):
+        bounds.gamma_vec(*many, phi)
+    monkeypatch.setattr(bounds, "_theta", real)
+    assert bounds.gamma_vec(*many, phi) == want[many]
+    # a miss whose setup raises keeps the old entry, then the new key
+    monkeypatch.setattr(bounds, "_theta", failing)
+    with pytest.raises(ProfileRegionError, match="injected"):
+        bounds.gamma_vec(*one, phi)
+    assert bounds._last_gamma[0] == many
+    monkeypatch.setattr(bounds, "_theta", real)
+    assert bounds.gamma_vec(*one, phi) == want[one]
+    assert bounds.gamma_vec(*many, phi) == want[many]
+
+
 def test_gamma_vec_distinct_entries_against_direct_oracle():
     # k = 2 with four distinct restriction means, recomputed from scratch
     # with hand-built weights and plain quadrature
@@ -800,6 +898,33 @@ def test_bisect_root_errors_and_lanes():
     narrow = bisect_root(lambda x: x - 0.3, 0.3 - 1e-13, 0.3 + 3e-13)
     assert abs(narrow - 0.3) < 5e-14
     assert isinstance(bisect_root(lambda x: x - 0.3, 0.0, 1.0), float)
+
+
+def test_bisect_root_fails_closed_on_a_nan_midpoint():
+    # f is nan on (0.45, 0.55) and its one root is 0.7; a nan midpoint used
+    # to read as a sign change toward hi and gave 0.45000000000027285
+    from noisestab.bounds import BracketError, bisect_root
+    with pytest.raises(BracketError) as exc:
+        bisect_root(lambda x: np.where((x > 0.45) & (x < 0.55), np.nan, x - 0.7), 0.0, 1.0)
+    assert str(exc.value) == "f is nan at the midpoint 0.5 of [0.0, 1.0]"
+    # lanes: the first live lane with a nan midpoint is named, after steps
+    with pytest.raises(BracketError) as exc:
+        bisect_root(lambda x: np.where(x == 0.75, np.nan, x - np.array([0.2, 0.9])),
+                    0.0, 1.0)
+    assert str(exc.value) == "f is nan at the midpoint 0.75 of [0.5, 1.0]"
+    # only live lanes are read: lane 0 stops on its exact zero in the first
+    # step, and its later nan midpoints change nothing
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        out = x - np.array([0.5, 0.3])
+        if len(calls) > 3:
+            out[0] = np.nan
+        return out
+
+    got = bisect_root(f, 0.0, 1.0)
+    assert got[0] == 0.5 and abs(got[1] - 0.3) <= 1e-12 and len(calls) > 10
 
 
 def test_sign_filter_refines_near_zero_and_nan_lanes():

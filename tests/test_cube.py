@@ -578,8 +578,10 @@ def test_codes_reject_entries_outside_zero_one(check, bad):
 ])
 def test_checks_make_one_bound_call_per_distinct_key(monkeypatch, n, rho, F):
     # the call counts a traced brute pass is gated on: one Gamma or gamma_q
-    # call per distinct dictator-distance key and Phi (or q), eps increasing
-    # within each, and one big_theta call per beta grid point
+    # call per distinct dictator-distance key and Phi (or q), and one
+    # big_theta call per beta grid point.  gamma_q runs q by q, eps
+    # increasing within each; Gamma runs key by key, eps increasing, each
+    # key's Phis in GAMMA_PHIS order
     N = 2 ** n
     want = np.unique(np.round(sweeps.dictator_distances(F, n) * N)) / N
     calls = {name: [] for name in ("gamma_phi", "gamma_q", "big_theta")}
@@ -596,10 +598,30 @@ def test_checks_make_one_bound_call_per_distinct_key(monkeypatch, n, rho, F):
         args = calls[name]
         assert len(args) == want.size * per_key, name
         assert all(a[1] == rho for a in args)
-        for j in range(per_key):
-            eps = [a[0] for a in args[j * want.size:(j + 1) * want.size]]
-            assert eps == want.tolist(), (name, j)
+    for j in range(len(sweeps.Q_UPPER) + len(sweeps.Q_LOWER)):
+        eps = [a[0] for a in calls["gamma_q"][j * want.size:(j + 1) * want.size]]
+        assert eps == want.tolist(), ("gamma_q", j)
+    phis = [sweeps._phi_from_name(name) for name in sweeps.GAMMA_PHIS]
+    assert [(a[0], a[2].kind, a[2].q) for a in calls["gamma_phi"]] == [
+        (e, phi.kind, phi.q) for e in want.tolist() for phi in phis]
     assert len(calls["big_theta"]) == 64
+
+
+def test_gamma_check_equals_a_run_without_the_gamma_memo(monkeypatch):
+    # the Phis of one key share its setup (bounds.gamma_vec); clearing that
+    # memo before every gamma_phi call changes no CheckResult
+    rhos = (0.1, 0.5, 0.9)
+    want = [sweeps.gamma_bound_check(n, rho, sweeps.balanced_supports(n))
+            for n in range(1, 5) for rho in rhos]
+    real = sweeps.bounds.gamma_phi
+
+    def fresh(*a):
+        monkeypatch.setattr(sweeps.bounds, "_last_gamma", None)
+        return real(*a)
+
+    monkeypatch.setattr(sweeps.bounds, "gamma_phi", fresh)
+    assert [sweeps.gamma_bound_check(n, rho, sweeps.balanced_supports(n))
+            for n in range(1, 5) for rho in rhos] == want
 
 
 CHECKS = (sweeps.envelope_check, sweeps.gamma_bound_check, sweeps.q_bound_check,
@@ -612,7 +634,6 @@ def test_family_tables_built_once_per_array(monkeypatch):
     # that is another object reuses them, as they are keyed on content
     n = 3
     F = sweeps.balanced_supports(n)
-    monkeypatch.setattr(sweeps, "_last_family", None)
     seen = []
     real = sweeps._sorted_rows
     monkeypatch.setattr(sweeps, "_sorted_rows",
